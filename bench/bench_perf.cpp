@@ -105,9 +105,41 @@ double bench_sched_cancel(std::size_t live) {
   });
 }
 
+/// A same-instant burst: 4096 events due at one instant, each of which
+/// schedules one zero-delay follow-up when it fires, until 64k events have
+/// fired — a tick that thousands of flows share, whose handlers schedule
+/// more work for that instant. The wheel must keep pace with the heap here:
+/// follow-ups join its fire heap instead of a bucket that every pop
+/// rescans. Templated so both schedulers run the identical op mix.
+template <typename Queue>
+double bench_same_instant_burst() {
+  constexpr std::size_t kBurst = 4096;
+  constexpr std::uint64_t kTotal = 16 * kBurst;
+  struct Burst {
+    Queue q;
+    std::uint64_t scheduled = 0;
+    void add() {
+      ++scheduled;
+      q.schedule(TimePoint::from_ns(1000), [this] {
+        if (scheduled < kTotal) add();
+      });
+    }
+  };
+  return best_rate(3, [] {
+    Burst b;
+    for (std::size_t i = 0; i < kBurst; ++i) b.add();
+    std::uint64_t fired = 0;
+    while (!b.q.empty()) {
+      b.q.pop().fn();
+      ++fired;
+    }
+    return fired;
+  });
+}
+
 /// Steady-state allocation count of the wheel's rearm path: after warmup,
 /// a full population of standing timers rearming forever must never touch
-/// the heap (pooled slots + inline callables + retained fire buffer).
+/// the heap (pooled slots + inline callables + retained fire heap).
 std::uint64_t bench_wheel_churn_allocs() {
   sim::TimerWheel q;
   constexpr std::size_t kLive = 1024;
@@ -122,12 +154,16 @@ std::uint64_t bench_wheel_churn_allocs() {
     }
     t += 64;
   };
-  // Warmup round has the exact shape of the measured round, so every pool
-  // (slot table, freelist, fire buffer) reaches its high-water size first.
+  // Warmup rounds have the exact shape of the measured round, so every pool
+  // (slot table, freelist, fire heap) reaches its high-water size first.
+  // The first round starts on an idle wheel; from the second on, each
+  // round's early schedules land behind the position the previous round's
+  // pops left, so they join the fire heap. Two rounds reach that shape.
   const auto round = [&] {
     for (int r = 0; r < 100; ++r) cycle();
     for (int i = 0; i < 256 && !q.empty(); ++i) (void)q.pop();
   };
+  round();
   round();
   const std::uint64_t before = iq::bench::alloc_count();
   round();
@@ -392,6 +428,12 @@ int main(int argc, char** argv) {
   const double sc_wheel_10k = bench_sched_cancel<sim::TimerWheel>(10240);
   std::printf("  wheel sched+cancel: %8.2f M ops/s (1k live), %.2f M (10k)\n",
               sc_wheel_1k / 1e6, sc_wheel_10k / 1e6);
+  const double burst_heap = bench_same_instant_burst<sim::EventQueue>();
+  const double burst_wheel = bench_same_instant_burst<sim::TimerWheel>();
+  const double burst_ratio = burst_heap > 0 ? burst_wheel / burst_heap : 0.0;
+  std::printf("  same-instant burst: %8.2f M events/s wheel, %.2f M heap "
+              "(%.2fx)\n",
+              burst_wheel / 1e6, burst_heap / 1e6, burst_ratio);
   const std::uint64_t wheel_allocs = bench_wheel_churn_allocs();
   std::printf("  wheel churn allocs: %8llu per 100 rearm rounds\n",
               static_cast<unsigned long long>(wheel_allocs));
@@ -439,6 +481,7 @@ int main(int argc, char** argv) {
       .field("sched_cancel_ops", sc_heap)
       .field("wheel_sched_cancel_ops_1k", sc_wheel_1k)
       .field("wheel_sched_cancel_ops_10k", sc_wheel_10k)
+      .field("wheel_burst_vs_heap", burst_ratio)
       .field("wheel_churn_steady_allocs", wheel_allocs)
       .field("packet_pump_eps", pump.events_per_s)
       .field("packet_pump_pps", pump.packets_per_s)

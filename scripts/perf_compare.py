@@ -35,6 +35,14 @@ CM_PRIO_RANGE = (1.8, 2.2)
 # container; 5x is the acceptance floor from the hot-path-v3 issue).
 CRC_PCLMUL_SPEEDUP_FLOOR = 5.0
 
+# The wheel must keep pace with the 4-ary heap on a same-instant burst
+# (wheel_burst_vs_heap: wheel events/s / heap events/s, 4096 events due at
+# one instant, each scheduling a zero-delay follow-up). A ratio of two rates
+# from one run, so the floor holds on any machine. A wheel that rescans its
+# current bucket on every pop read 0.01-0.04 here; the fire-heap wheel
+# reads 0.75-1.1.
+WHEEL_BURST_FLOOR = 0.5
+
 # Non-throughput scalars: excluded from the warn pass (each is either an
 # invariant checked exactly below or a machine property).
 EXACT_KEYS = {
@@ -166,6 +174,15 @@ def main() -> int:
                 f"crc_pclmul_speedup = {speedup:.2f} below the"
                 f" {CRC_PCLMUL_SPEEDUP_FLOOR}x floor over slice-by-8: the"
                 " folding kernel is not earning its dispatch"
+            )
+    if "wheel_burst_vs_heap" in base or "wheel_burst_vs_heap" in fresh:
+        ratio = fresh.get("wheel_burst_vs_heap", 0.0)
+        if ratio < WHEEL_BURST_FLOOR:
+            failures.append(
+                f"wheel_burst_vs_heap = {ratio:.3f} below the"
+                f" {WHEEL_BURST_FLOOR} floor: a same-instant burst runs at"
+                " under half the heap's rate, so the wheel is rescanning"
+                " its pileups"
             )
     if "crc_impl" in base and base["crc_impl"] != fresh.get("crc_impl"):
         print(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "iq/common/check.hpp"
 
@@ -43,18 +42,16 @@ void TimerWheel::release(std::uint32_t slot) {
 
 void TimerWheel::place(std::uint32_t slot) {
   Entry& e = slots_[slot];
-  // Late deadlines (at or before the wheel position — legal on the realtime
-  // path) are clamped into the current bucket; e.at_ns stays the sort key.
-  std::uint64_t d = cur_;
-  if (e.at_ns > 0 && static_cast<std::uint64_t>(e.at_ns) > cur_) {
-    d = static_cast<std::uint64_t>(e.at_ns);
+  // Due at or before the wheel position (a same-instant follow-up, a
+  // cascade landing on the position, or a late deadline on the realtime
+  // path): straight into the fire heap, keyed by the original deadline.
+  if (e.at_ns <= 0 || static_cast<std::uint64_t>(e.at_ns) <= cur_) {
+    push_fire(slot);
+    return;
   }
-  const std::uint64_t diff = d ^ cur_;
+  const auto d = static_cast<std::uint64_t>(e.at_ns);
   const std::uint32_t level =
-      diff == 0
-          ? 0u
-          : static_cast<std::uint32_t>(63 - std::countl_zero(diff)) /
-                kLevelBits;
+      static_cast<std::uint32_t>(63 - std::countl_zero(d ^ cur_)) / kLevelBits;
   const auto idx = static_cast<std::uint32_t>(d >> (level * kLevelBits)) &
                    (kSlotsPerLevel - 1);
   const std::uint32_t bucket = level * kSlotsPerLevel + idx;
@@ -73,6 +70,24 @@ void TimerWheel::place(std::uint32_t slot) {
   e.bucket = static_cast<std::uint16_t>(bucket);
 }
 
+void TimerWheel::push_fire(std::uint32_t slot) {
+  // Cancelled references stay in the heap until they surface. Before it
+  // would grow, drop them if they make up half of it, so a run of late
+  // schedule+cancel pairs with no pop in between keeps it within twice its
+  // live entries.
+  if (fire_.size() == fire_.capacity() && 2 * fire_live_ <= fire_.size()) {
+    std::erase_if(fire_, [this](const FireRef& r) {
+      return slots_[r.slot].generation != r.generation;
+    });
+    std::make_heap(fire_.begin(), fire_.end(), FiresLater{});
+  }
+  Entry& e = slots_[slot];
+  e.bucket = kBucketFireHeap;
+  fire_.push_back(FireRef{e.at_ns, e.seq, slot, e.generation});
+  std::push_heap(fire_.begin(), fire_.end(), FiresLater{});
+  ++fire_live_;
+}
+
 void TimerWheel::unlink(std::uint32_t slot) {
   Entry& e = slots_[slot];
   const std::uint32_t bucket = e.bucket;
@@ -89,27 +104,20 @@ void TimerWheel::unlink(std::uint32_t slot) {
   e.bucket = kBucketFree;
 }
 
-void TimerWheel::advance_to(std::uint64_t t) {
-  const std::uint64_t old = cur_;
-  if (t <= old) return;
-  cur_ = t;
-  // Every level whose slot address changed may leave the wheel standing
-  // inside a bucket that still holds entries placed when that bucket was
-  // "the future"; drain those buckets top-down — each entry re-places at a
-  // strictly lower level (its deadline now agrees with cur_ on this level's
-  // field, see the header proof), so one pass settles everything.
-  const std::uint64_t diff = old ^ t;
-  const std::uint32_t top =
-      static_cast<std::uint32_t>(63 - std::countl_zero(diff)) / kLevelBits;
-  for (std::uint32_t level = top; level >= 1; --level) {
-    const auto idx = static_cast<std::uint32_t>(t >> (level * kLevelBits)) &
-                     (kSlotsPerLevel - 1);
-    const std::uint32_t bucket = level * kSlotsPerLevel + idx;
-    while (heads_[bucket] != kNil) {
-      const std::uint32_t slot = heads_[bucket];
-      unlink(slot);
-      place(slot);
-    }
+void TimerWheel::advance_to(std::uint32_t bucket) {
+  // The position keeps its fields above the bucket's level, takes the
+  // bucket's index at that level and zero below it. Lower levels are empty
+  // (the bucket is the earliest occupied one), and each re-placed entry
+  // lands in the fire heap when due exactly at the new position or at a
+  // nonzero index of a lower level, so this one bucket is all that moves.
+  const std::uint32_t shift = bucket / kSlotsPerLevel * kLevelBits;
+  const std::uint32_t above = shift + kLevelBits;
+  const std::uint64_t high = above >= 64 ? 0ull : cur_ & ~((1ull << above) - 1);
+  cur_ = high | static_cast<std::uint64_t>(bucket % kSlotsPerLevel) << shift;
+  while (heads_[bucket] != kNil) {
+    const std::uint32_t slot = heads_[bucket];
+    unlink(slot);
+    place(slot);
   }
 }
 
@@ -127,44 +135,15 @@ std::uint32_t TimerWheel::earliest_bucket() const {
   return 0;
 }
 
-std::uint32_t TimerWheel::bucket_min(std::uint32_t bucket) const {
-  const std::uint32_t head = heads_[bucket];
-  std::uint32_t best = head;
-  for (std::uint32_t s = slots_[head].next; s != head; s = slots_[s].next) {
-    const Entry& e = slots_[s];
-    const Entry& b = slots_[best];
-    if (e.at_ns < b.at_ns || (e.at_ns == b.at_ns && e.seq < b.seq)) best = s;
-  }
-  return best;
-}
-
-bool TimerWheel::fire_buffer_front() const {
-  const auto later = [](const FireRef& a, const FireRef& b) {
-    return ref_before(b, a);
-  };
+bool TimerWheel::fire_heap_front() const {
   while (!fire_.empty()) {
     const FireRef& top = fire_.front();
     if (slots_[top.slot].generation == top.generation) return true;
-    // A cancel invalidated this reference after it was buffered; discard.
-    std::pop_heap(fire_.begin(), fire_.end(), later);
+    // A cancel invalidated this reference after it joined the heap; discard.
+    std::pop_heap(fire_.begin(), fire_.end(), FiresLater{});
     fire_.pop_back();
   }
   return false;
-}
-
-void TimerWheel::drain_bucket(std::uint32_t bucket) {
-  const auto later = [](const FireRef& a, const FireRef& b) {
-    return ref_before(b, a);
-  };
-  while (heads_[bucket] != kNil) {
-    const std::uint32_t slot = heads_[bucket];
-    unlink(slot);
-    Entry& e = slots_[slot];
-    e.bucket = kBucketFireBuf;
-    fire_.push_back(FireRef{e.at_ns, e.seq, slot, e.generation});
-    std::push_heap(fire_.begin(), fire_.end(), later);
-    ++buffered_live_;
-  }
 }
 
 EventId TimerWheel::schedule(TimePoint at, EventFn fn) {
@@ -189,10 +168,10 @@ bool TimerWheel::cancel(EventId id) {
       e.bucket == kBucketFree) {
     return false;
   }
-  if (e.bucket == kBucketFireBuf) {
-    // Already staged for firing: the generation bump below turns its
-    // buffered reference stale; fire_buffer_front() will discard it.
-    --buffered_live_;
+  if (e.bucket == kBucketFireHeap) {
+    // Its reference stays in the heap: the generation bump in release()
+    // turns it stale, and fire_heap_front() discards it.
+    --fire_live_;
   } else {
     unlink(slot);
   }
@@ -202,64 +181,41 @@ bool TimerWheel::cancel(EventId id) {
 }
 
 TimePoint TimerWheel::next_time() const {
-  std::int64_t best = std::numeric_limits<std::int64_t>::max();
-  bool any = false;
-  if (fire_buffer_front()) {
-    best = fire_.front().at_ns;
-    any = true;
+  if (fire_heap_front()) return TimePoint::from_ns(fire_.front().at_ns);
+  if (live_ == 0) return TimePoint::max();
+  // Every live entry is in a bucket. A level-0 bucket holds one deadline;
+  // a coarser one is scanned for its earliest.
+  const std::uint32_t bucket = earliest_bucket();
+  const std::uint32_t head = heads_[bucket];
+  std::int64_t best = slots_[head].at_ns;
+  if (bucket >= kSlotsPerLevel) {
+    for (std::uint32_t s = slots_[head].next; s != head; s = slots_[s].next) {
+      best = std::min(best, slots_[s].at_ns);
+    }
   }
-  if (live_ - buffered_live_ > 0) {
-    const std::uint32_t m = bucket_min(earliest_bucket());
-    if (!any || slots_[m].at_ns < best) best = slots_[m].at_ns;
-    any = true;
-  }
-  return any ? TimePoint::from_ns(best) : TimePoint::max();
+  return TimePoint::from_ns(best);
 }
 
 TimerWheel::Popped TimerWheel::pop() {
   IQ_CHECK_MSG(live_ > 0, "pop() on empty TimerWheel");
-  const bool have_buffered = fire_buffer_front();
-  if (live_ - buffered_live_ > 0) {
-    // Walk the wheel position to the earliest pending bucket, cascading
-    // higher-level buckets down to exact lower-level slots as it enters
-    // them, until the earliest work sits in a one-nanosecond level-0 bucket.
-    std::uint32_t bucket = earliest_bucket();
-    while (bucket >= kSlotsPerLevel) {
-      const std::uint32_t level = bucket / kSlotsPerLevel;
-      const std::uint32_t idx = bucket % kSlotsPerLevel;
-      const std::uint32_t shift = level * kLevelBits;
-      const std::uint32_t above = shift + kLevelBits;
-      const std::uint64_t high =
-          above >= 64 ? 0ull : cur_ & ~((1ull << above) - 1);
-      advance_to(high | (static_cast<std::uint64_t>(idx) << shift));
-      bucket = earliest_bucket();
-    }
-    advance_to((cur_ & ~static_cast<std::uint64_t>(kSlotsPerLevel - 1)) |
-               bucket);
-    // The linked minimum lives in this bucket (clamped entries always sit in
-    // the wheel's own bucket, which is the earliest whenever occupied). Move
-    // the batch into the fire heap unless a leftover buffered entry still
-    // precedes it.
-    bool absorb = !have_buffered;
-    if (!absorb) {
-      const Entry& m = slots_[bucket_min(bucket)];
-      const FireRef& top = fire_.front();
-      absorb = m.at_ns < top.at_ns ||
-               (m.at_ns == top.at_ns && m.seq < top.seq);
-    }
-    if (absorb) drain_bucket(bucket);
+  // While the fire heap holds a live entry, its top is the global (at, seq)
+  // minimum: the heap holds everything due at or before the wheel position
+  // and the buckets only what is due after it. Once it is empty, walk the
+  // position to the start of the earliest occupied bucket, cascading higher
+  // levels down, until some entry lands on the position itself (everything
+  // the cascade pushes is live, so an empty heap means none has yet).
+  if (!fire_heap_front()) {
+    do {
+      advance_to(earliest_bucket());
+    } while (fire_.empty());
   }
-  // The fire heap's top is now the global (at, seq) minimum.
-  const auto later = [](const FireRef& a, const FireRef& b) {
-    return ref_before(b, a);
-  };
-  std::pop_heap(fire_.begin(), fire_.end(), later);
+  std::pop_heap(fire_.begin(), fire_.end(), FiresLater{});
   const FireRef ref = fire_.back();
   fire_.pop_back();
   Entry& e = slots_[ref.slot];
   Popped out{TimePoint::from_ns(ref.at_ns), std::move(e.fn)};
   release(ref.slot);
-  --buffered_live_;
+  --fire_live_;
   --live_;
   return out;
 }

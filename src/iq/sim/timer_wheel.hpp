@@ -28,18 +28,24 @@
 //   1. Total order is (deadline, schedule-seq): a strictly increasing
 //      sequence number breaks same-nanosecond ties in insertion order,
 //      identical to EventQueue.
-//   2. Level-0 buckets are one nanosecond wide, so all entries in a
-//      bucket share a deadline and only the seq decides among them. A
-//      bucket with several entries is drained through a sort-once fire
-//      buffer (O(m log m) for an m-entry pileup, not the O(m^2) a
-//      rescan-per-pop would cost when thousands of flows share a tick).
-//   3. Late schedules — a deadline at or before the wheel's current time
-//      (legal on the realtime path) — are clamped into the current
-//      bucket but keep their original deadline as the sort key, so they
-//      order against pending work exactly as the heap would order them.
+//   2. The fire heap, a min-heap by (deadline, seq), holds every entry
+//      due at or before the wheel's current time; every bucketed entry is
+//      due strictly after it. The wheel's time moves only when the heap is
+//      empty, so the heap top is always the global minimum and pop() is one
+//      heap pop. A same-instant schedule — thousands of flows sharing a
+//      tick, or a firing callback scheduling a zero-delay follow-up — is one
+//      heap push, O(log m) with m entries due, with no bucket rescanned.
+//      Level-0 buckets are one nanosecond wide, so each holds a single
+//      deadline: next_time() reads the heap top or a level-0 bucket head
+//      and scans only when the earliest occupied bucket is coarser.
+//   3. Late schedules — a deadline before the wheel's current time (legal
+//      on the realtime path) — join the fire heap the same way, keyed by
+//      their original deadline, so they order against pending work exactly
+//      as the heap would order them.
 //
 // tests/timer_wheel_property_test.cpp drives random schedule/rearm/
-// cancel/fire interleavings (seeds 1–24) against the EventQueue as a
+// cancel/fire interleavings (seeds 1–24), and callbacks that schedule and
+// cancel from inside a same-instant batch, against the EventQueue as a
 // reference model and requires identical fire order, identical cancel
 // results (stale and double cancels structurally rejected by the same
 // generation-validated handle scheme) and identical next_time().
@@ -47,7 +53,7 @@
 // The wheel is allocation-free at steady state: entries live in a pooled
 // slot table (freelist reuse, InlineFn callables), buckets are intrusive
 // circular doubly-linked lists threaded through the slots, and the fire
-// buffer is a reused vector that keeps its high-water capacity.
+// heap is a reused vector that keeps its high-water capacity.
 
 #include <array>
 #include <cstdint>
@@ -67,13 +73,15 @@ class TimerWheel {
  public:
   TimerWheel();
 
-  /// Schedule `fn` at absolute time `at`. O(1). Deadlines at or before
-  /// the wheel's current position fire as soon as possible but keep `at`
-  /// as their ordering key (see header contract, rule 3).
+  /// Schedule `fn` at absolute time `at`. O(1) for a deadline after the
+  /// wheel's current position; one fire-heap push for one at or before it,
+  /// which fires as soon as possible but keeps `at` as its ordering key
+  /// (see header contract, rules 2–3).
   EventId schedule(TimePoint at, EventFn fn);
   /// Cancel a pending event; returns false (and does nothing) if it
   /// already fired or was cancelled before — stale handles are rejected
-  /// by the generation check. O(1): unlink from the bucket in place.
+  /// by the generation check. O(1): unlink from the bucket in place, or
+  /// leave a stale fire-heap reference for pop() to discard.
   bool cancel(EventId id);
 
   bool empty() const { return live_ == 0; }
@@ -97,7 +105,7 @@ class TimerWheel {
   static constexpr std::uint32_t kNil = 0xffffffff;
   /// Bucket markers for entries not linked into any bucket list.
   static constexpr std::uint16_t kBucketFree = 0xffff;
-  static constexpr std::uint16_t kBucketFireBuf = 0xfffe;
+  static constexpr std::uint16_t kBucketFireHeap = 0xfffe;
 
   struct Entry {
     std::int64_t at_ns = 0;    ///< original deadline (ordering key)
@@ -109,9 +117,9 @@ class TimerWheel {
     EventFn fn;
   };
 
-  /// A fire-buffer reference: the sort keys plus a generation-validated
-  /// slot reference, so a cancel between buffering and draining turns
-  /// the reference stale instead of corrupting the batch.
+  /// A fire-heap reference: the sort keys plus a generation-validated slot
+  /// reference, so a cancel after the entry joined the heap turns the
+  /// reference stale instead of corrupting the heap.
   struct FireRef {
     std::int64_t at_ns;
     std::uint64_t seq;
@@ -121,30 +129,35 @@ class TimerWheel {
 
   std::uint32_t alloc_slot();
   void release(std::uint32_t slot);
-  /// Link `slot` into the bucket its (clamped) deadline belongs to,
-  /// relative to the wheel's current time. O(1).
+  /// Push `slot` onto the fire heap if it is due at or before the wheel's
+  /// current time, else link it into the bucket its deadline belongs to,
+  /// relative to that time. O(1) for a bucket.
   void place(std::uint32_t slot);
+  /// The fire-heap half of place(), kept out of line so the bucket half
+  /// inlines into schedule() and the cascade.
+  void push_fire(std::uint32_t slot);
   void unlink(std::uint32_t slot);
-  /// Move the wheel's position to `t` (start of a bucket about to fire),
-  /// cascading every higher-level bucket the new position lands in down
-  /// to its exact lower-level location.
-  void advance_to(std::uint64_t t);
+  /// Move the wheel position forward to the start of `bucket`, the earliest
+  /// occupied one, and re-place its entries: down to their exact
+  /// lower-level location, or into the fire heap when due exactly there.
+  void advance_to(std::uint32_t bucket);
   /// Earliest occupied bucket: lowest occupied level, lowest index.
   /// Precondition: at least one linked entry.
   std::uint32_t earliest_bucket() const;
-  /// Scan a bucket's list for its (at, seq)-minimal entry. O(length).
-  std::uint32_t bucket_min(std::uint32_t bucket) const;
   /// Move the cancelled references that bubbled to the fire heap's top
-  /// out of the way; returns true if a live buffered entry remains.
+  /// out of the way; returns true if a live entry remains in the heap.
   /// Lazily mutates fire_ (benign under const — order is unaffected).
-  bool fire_buffer_front() const;
-  /// Move the earliest linked bucket's entries into the fire heap.
-  void drain_bucket(std::uint32_t bucket);
-  /// (at, seq) ordering — identical to EventQueue::before.
-  static bool ref_before(const FireRef& a, const FireRef& b) {
-    if (a.at_ns != b.at_ns) return a.at_ns < b.at_ns;
-    return a.seq < b.seq;
-  }
+  bool fire_heap_front() const;
+  /// Heap comparator: std's heap algorithms keep the greatest element on
+  /// top, so ordering by "fires later" in (at, seq) — EventQueue's order —
+  /// leaves the next event to fire at front(). A function object rather
+  /// than a function pointer, so the heap algorithms inline it.
+  struct FiresLater {
+    bool operator()(const FireRef& a, const FireRef& b) const {
+      if (a.at_ns != b.at_ns) return a.at_ns > b.at_ns;
+      return a.seq > b.seq;
+    }
+  };
 
   std::array<std::uint32_t, kBuckets> heads_;  ///< kNil when empty
   std::array<std::uint64_t, kLevels> occupied_{};
@@ -152,12 +165,12 @@ class TimerWheel {
   std::uint32_t free_head_ = kNil;
   std::uint64_t cur_ = 0;        ///< wheel position, ns (only advances)
   std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;         ///< live entries (linked + buffered)
-  std::size_t buffered_live_ = 0;
+  std::size_t live_ = 0;         ///< live entries (bucketed + fire heap)
+  std::size_t fire_live_ = 0;    ///< live entries in the fire heap
 
-  /// Min-heap by (at, seq) — the same-ns batch currently being drained,
-  /// plus any not-yet-fired leftovers. Cancelled entries are invalidated
-  /// lazily and skipped when they surface at the top.
+  /// Min-heap by (at, seq) of every entry due at or before cur_ (rule 2).
+  /// Cancelled entries are invalidated lazily and skipped when they
+  /// surface at the top, or dropped before the heap would grow.
   mutable std::vector<FireRef> fire_;
 };
 

@@ -11,10 +11,12 @@
 // every wheel level: same-nanosecond collisions (level-0 FIFO pileups),
 // near rearm-style horizons, far-future deadlines that must cascade down
 // multiple levels before firing, and deadlines behind the wheel's position
-// (legal on the realtime path) that clamp but keep their ordering key.
+// (legal on the realtime path) that join its fire heap but keep their
+// ordering key.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -122,6 +124,159 @@ TEST(TimerWheelPropertyTest, MatchesEventHeapUnderRandomChurn) {
     EXPECT_EQ(wheel.next_time(), TimePoint::max());
     ASSERT_EQ(wheel_fired, ref_fired) << "seed " << seed;
   }
+}
+
+// One side of a lockstep run in which the callbacks themselves schedule and
+// cancel, against the queue that fired them: a fired event may schedule a
+// zero-delay follow-up (it joins the same-instant batch being drained), a
+// follow-up behind the clock, and cancel an event that joined the current
+// batch after its draining began, fired or not. Both sides seed the same Rng,
+// so while their fire orders agree they make the same choices.
+template <typename Queue>
+struct BatchChurn {
+  static constexpr std::size_t kMaxEvents = 40'000;
+
+  explicit BatchChurn(std::uint64_t seed) : rng(seed) {}
+
+  void schedule(std::int64_t at_ns) {
+    const std::size_t tag = ids.size();
+    ids.push_back(
+        q.schedule(TimePoint::from_ns(at_ns), [this, tag] { fire(tag); }));
+  }
+
+  void fire(std::size_t tag) {
+    fired.push_back(tag);
+    if (ids.size() >= kMaxEvents) return;
+    const double roll = rng.uniform01();
+    if (roll < 0.45) {
+      joined.push_back(ids.size());
+      schedule(clock);
+    }
+    if (roll > 0.80) {
+      schedule(std::max<std::int64_t>(0, clock - rng.uniform_int(1, 2000)));
+    }
+    if (!joined.empty() && rng.uniform01() < 0.3) {
+      const auto pick = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(joined.size()) - 1));
+      cancels.push_back(q.cancel(ids[joined[pick]]));
+    }
+  }
+
+  /// Pop and run one event. The clock is the latest instant popped so far,
+  /// as on the realtime path, where a late event fires after its deadline.
+  TimePoint step() {
+    auto ev = q.pop();
+    if (ev.at.ns() > clock) {
+      clock = ev.at.ns();
+      joined.clear();
+    }
+    ev.fn();
+    return ev.at;
+  }
+
+  Queue q;
+  Rng rng;
+  std::int64_t clock = 0;
+  std::vector<EventId> ids;          ///< tag -> handle
+  std::vector<std::size_t> fired;    ///< tags in fire order
+  std::vector<std::size_t> joined;   ///< tags scheduled at the current clock
+  std::vector<bool> cancels;         ///< results of callback cancels
+};
+
+TEST(TimerWheelPropertyTest, CallbacksScheduleAndCancelInsideSameInstantBatch) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    BatchChurn<TimerWheel> wheel(seed);
+    BatchChurn<EventQueue> ref(seed);
+    Rng plan(seed + 1000);
+    const auto both = [&](std::int64_t at_ns) {
+      wheel.schedule(at_ns);
+      ref.schedule(at_ns);
+    };
+    const auto pop_both = [&] {
+      const TimePoint at = wheel.step();
+      ASSERT_EQ(at, ref.step()) << "pop-time divergence, seed " << seed;
+      ASSERT_EQ(wheel.fired.back(), ref.fired.back())
+          << "fire-order divergence, seed " << seed;
+      ASSERT_EQ(wheel.cancels.size(), ref.cancels.size()) << "seed " << seed;
+      if (!wheel.cancels.empty()) {
+        ASSERT_EQ(wheel.cancels.back(), ref.cancels.back())
+            << "cancel divergence, seed " << seed;
+      }
+      ASSERT_EQ(wheel.q.size(), ref.q.size()) << "seed " << seed;
+      ASSERT_EQ(wheel.q.next_time(), ref.q.next_time())
+          << "next_time divergence after a pop, seed " << seed;
+    };
+
+    std::int64_t at = 0;
+    for (int round = 0; round < 200; ++round) {
+      // The next batch lies 1 ns to ~1 ms ahead, so it starts from a bucket
+      // at any of the low wheel levels; noise lands around it.
+      at += plan.uniform_int(1, std::int64_t{1} << plan.uniform_int(1, 20));
+      const auto batch = plan.uniform_int(1, 64);
+      for (std::int64_t i = 0; i < batch; ++i) both(at);
+      for (int i = 0; i < 4; ++i) both(at + plan.uniform_int(0, 300));
+      while (!wheel.q.empty() && wheel.q.next_time().ns() <= at) {
+        pop_both();
+        if (HasFatalFailure()) return;
+      }
+    }
+    while (!wheel.q.empty()) {
+      pop_both();
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(ref.q.empty());
+    EXPECT_EQ(wheel.fired, ref.fired) << "seed " << seed;
+    // The run must exercise what it is named for.
+    EXPECT_GT(wheel.ids.size(), 10'000u) << "seed " << seed;
+    EXPECT_GT(std::count(wheel.cancels.begin(), wheel.cancels.end(), true), 50)
+        << "seed " << seed;
+  }
+}
+
+TEST(TimerWheelPropertyTest, LateSchedulesAndCancelsWithoutPopsKeepHeapOrder) {
+  // Late deadlines join the wheel's fire heap, where a cancel leaves a stale
+  // reference; with no pop in between, the heap drops stale references
+  // whenever it is full and half stale. The survivors must still fire in
+  // the reference heap's order.
+  Rng rng(9);
+  TimerWheel wheel;
+  EventQueue ref;
+  std::vector<int> wheel_order;
+  std::vector<int> ref_order;
+  std::vector<EventId> wheel_ids;
+  std::vector<EventId> ref_ids;
+  wheel.schedule(TimePoint::from_ns(1'000'000), [] {});
+  ref.schedule(TimePoint::from_ns(1'000'000), [] {});
+  (void)wheel.pop();  // the wheel now stands at 1 ms
+  (void)ref.pop();
+  // Most schedules rearm one of eight timers (cancelling its pending
+  // event); the rest are one-shots that stay live across the heap's drops.
+  std::vector<int> armed(8, -1);  // timer -> tag of its pending event
+  for (int i = 0; i < 5000; ++i) {
+    const auto at = TimePoint::from_ns(1'000'000 - rng.uniform_int(0, 999));
+    wheel_ids.push_back(
+        wheel.schedule(at, [&wheel_order, i] { wheel_order.push_back(i); }));
+    ref_ids.push_back(
+        ref.schedule(at, [&ref_order, i] { ref_order.push_back(i); }));
+    if (rng.uniform01() < 0.8) {
+      int& pending = armed[static_cast<std::size_t>(rng.uniform_int(0, 7))];
+      if (pending >= 0) {
+        const auto tag = static_cast<std::size_t>(pending);
+        ASSERT_TRUE(wheel.cancel(wheel_ids[tag])) << "rearm at " << i;
+        ASSERT_TRUE(ref.cancel(ref_ids[tag]));
+      }
+      pending = i;
+    }
+  }
+  ASSERT_EQ(wheel.size(), ref.size());
+  while (!wheel.empty()) {
+    ASSERT_EQ(wheel.next_time(), ref.next_time());
+    wheel.pop().fn();
+    ref.pop().fn();
+  }
+  EXPECT_TRUE(ref.empty());
+  EXPECT_EQ(wheel_order, ref_order);
+  EXPECT_GT(wheel_order.size(), 1000u);
 }
 
 TEST(TimerWheelPropertyTest, EqualTimestampsFireFifoUnderChurn) {

@@ -119,7 +119,7 @@ TEST(ZeroAllocTest, SteadyStateLossyTransferDoesNotAllocate) {
 // sim::Simulator and the RealtimeLoop. Every ack rearms the RTO timer and
 // every quiet interval rearms the keepalive, so at city scale the wheel
 // absorbs one cancel+schedule pair per delivered segment: its slot pool,
-// per-bucket intrusive lists and fire buffer must all be at high water
+// per-bucket intrusive lists and fire heap must all be at high water
 // after warmup and never touch the heap again. The lossy-transfer pins
 // above cover the same path end to end (RudpConnection timers run through
 // sim::Simulator's wheel); this one isolates the wheel so a regression
@@ -133,7 +133,7 @@ TEST(ZeroAllocTest, TimerWheelRearmChurnDoesNotAllocate) {
 
   // One full churn round: every timer is cancelled and rearmed at an
   // RTO-like horizon (sub-ms spread), a same-ns keepalive batch piles onto
-  // one deadline (exercising the FIFO fire buffer), then time advances and
+  // one deadline (exercising the FIFO fire heap), then time advances and
   // a slice of the population fires and is immediately rearmed — the
   // retransmission-timer lifecycle, compressed.
   const auto churn_round = [&] {
@@ -151,7 +151,7 @@ TEST(ZeroAllocTest, TimerWheelRearmChurnDoesNotAllocate) {
     }
   };
 
-  // Warmup: grow the slot pool, bucket lists and fire buffer to the
+  // Warmup: grow the slot pool, bucket lists and fire heap to the
   // population's high-water mark while allocation is still allowed.
   for (int round = 0; round < 4; ++round) churn_round();
 
@@ -164,6 +164,34 @@ TEST(ZeroAllocTest, TimerWheelRearmChurnDoesNotAllocate) {
   EXPECT_GT(fired, 4 * kLive);
   EXPECT_EQ(allocs, 0u) << "timer rearm churn touched the heap " << allocs
                         << " times";
+}
+
+// Deadlines at or behind the wheel position (legal on the realtime path)
+// join the wheel's fire heap, where a cancel leaves a stale reference until
+// it surfaces. Rearming such a timer over and over with no pop in between
+// must not grow the heap without bound: it drops stale references before
+// it would reallocate.
+TEST(ZeroAllocTest, TimerWheelLateRearmWithoutPopsDoesNotAllocate) {
+  sim::TimerWheel wheel;
+  wheel.schedule(TimePoint::from_ns(1'000'000), [] {});
+  (void)wheel.pop();  // the wheel now stands at 1 ms
+  sim::EventId id = 0;
+  const auto rearm = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      if (id != 0) {
+        EXPECT_TRUE(wheel.cancel(id));
+      }
+      id = wheel.schedule(TimePoint::from_ns(1'000'000 - i % 1000), [] {});
+    }
+  };
+  rearm(64);  // warmup
+  const std::uint64_t before = iq::bench::alloc_count();
+  rearm(100'000);
+  const std::uint64_t allocs = iq::bench::alloc_count() - before;
+  EXPECT_EQ(allocs, 0u) << "late rearms grew the fire heap " << allocs
+                        << " times";
+  EXPECT_EQ(wheel.size(), 1u);
+  EXPECT_EQ(wheel.next_time(), TimePoint::from_ns(1'000'000 - 99'999 % 1000));
 }
 
 TEST(ZeroAllocTest, SteadyStateTransferWithCongestionManagerDoesNotAllocate) {
