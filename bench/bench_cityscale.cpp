@@ -1,7 +1,7 @@
 // City-scale fan-out bench: the 10k-flow pub/sub scenario on the sharded
 // simulator, with a machine-readable baseline.
 //
-// Three claims are pinned to BENCH_SCALE.json (gated by perf_compare.py):
+// Four claims are pinned to BENCH_SCALE.json (gated by perf_compare.py):
 //
 //   1. Determinism: the full-scale scenario produces bit-identical results
 //      (digest, event count, parcel count) at shard counts 1, 2 and 4 —
@@ -11,6 +11,10 @@
 //   3. Aggregate behavior of the coordinated city: on-time ratio, delivery
 //      ratio, Jain utilization index, mean resolution scale — deterministic
 //      simulated results, so drift means a behavior change, not noise.
+//   4. Construction cost: the operator-new calls and bytes requested while
+//      building the 1-shard scenario (scale_build_allocs,
+//      scale_build_bytes). Both are deterministic for a given toolchain and
+//      may not rise above the committed values.
 //
 // Event throughput (scale_events_per_s_*) is recorded but only warns: it
 // swings with the machine. On a single-core container the multi-shard
@@ -69,6 +73,8 @@ harness::CityScaleConfig full_cfg() {
 struct TimedRun {
   harness::CityScaleResult r;
   double wall_s = 0.0;
+  std::uint64_t build_allocs = 0;  ///< operator-new calls constructing it
+  std::uint64_t build_bytes = 0;   ///< bytes those calls requested
 };
 
 TimedRun run_one(std::size_t shards, bool threaded,
@@ -79,7 +85,12 @@ TimedRun run_one(std::size_t shards, bool threaded,
   cfg.mode = mode;
   const double t0 = now_s();
   TimedRun t;
-  t.r = harness::run_cityscale(cfg);
+  const std::uint64_t allocs0 = iq::bench::alloc_count();
+  const std::uint64_t bytes0 = iq::bench::alloc_bytes();
+  harness::CityScale scenario(cfg);
+  t.build_allocs = iq::bench::alloc_count() - allocs0;
+  t.build_bytes = iq::bench::alloc_bytes() - bytes0;
+  t.r = scenario.run();
   t.wall_s = now_s() - t0;
   std::fprintf(stderr,
                "  [shards=%zu%s %s] %.2fM events, %llu parcels, wall %.1fs "
@@ -152,6 +163,9 @@ int main(int argc, char** argv) {
       s1.r.parcels_delivered == s4.r.parcels_delivered;
   std::printf("  shard determinism (1 vs 2 vs 4): %s\n",
               rows_identical ? "bit-identical" : "** DIVERGED **");
+  std::printf("  1-shard construction: %llu allocations, %.1f MB requested\n",
+              static_cast<unsigned long long>(s1.build_allocs),
+              static_cast<double>(s1.build_bytes) / 1e6);
 
   const TimedRun unc = run_one(1, false, core::CoordinationMode::Uncoordinated);
 
@@ -175,6 +189,8 @@ int main(int argc, char** argv) {
       .field("scale_leaves", r.leaves)
       .field("scale_rows_identical", rows_identical)
       .field("scale_mailbox_steady_allocs", mailbox_allocs)
+      .field("scale_build_allocs", s1.build_allocs)
+      .field("scale_build_bytes", s1.build_bytes)
       .field("scale_on_time_ratio", r.on_time_ratio)
       .field("scale_delivery_ratio", r.delivery_ratio)
       .field("scale_jain", r.jain_utilization)

@@ -97,8 +97,10 @@ inline std::vector<double> overreaction_row(
 // exactly ONE translation unit — these are replacements of the global
 // allocation functions) gets process-wide allocation counting:
 // iq::bench::alloc_count() returns the number of operator-new calls since
-// process start. The zero-allocation steady-state benches and tests
-// snapshot it around a hot loop and assert the delta.
+// process start, and iq::bench::alloc_bytes() the bytes they requested.
+// The zero-allocation steady-state benches and tests snapshot the count
+// around a hot loop and assert the delta; bench_cityscale gates both
+// around one scenario construction.
 //
 // All forms route through malloc/aligned_alloc so the matching deletes can
 // free uniformly; only allocations are counted (frees are not interesting
@@ -111,14 +113,25 @@ inline std::vector<double> overreaction_row(
 namespace iq::bench {
 
 inline std::atomic<std::uint64_t> g_alloc_calls{0};
+inline std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 /// Global operator-new calls since process start.
 inline std::uint64_t alloc_count() {
   return g_alloc_calls.load(std::memory_order_relaxed);
 }
 
-inline void* counted_alloc(std::size_t n) {
+/// Bytes requested by those calls (before any alignment rounding).
+inline std::uint64_t alloc_bytes() {
+  return g_alloc_bytes.load(std::memory_order_relaxed);
+}
+
+inline void count_alloc(std::size_t n) {
   g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+}
+
+inline void* counted_alloc(std::size_t n) {
+  count_alloc(n);
   if (n == 0) n = 1;
   void* p = std::malloc(n);
   if (p == nullptr) throw std::bad_alloc();
@@ -126,7 +139,7 @@ inline void* counted_alloc(std::size_t n) {
 }
 
 inline void* counted_alloc(std::size_t n, std::size_t align) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+  count_alloc(n);
   if (n == 0) n = align;
   // aligned_alloc requires the size to be a multiple of the alignment.
   n = (n + align - 1) / align * align;

@@ -9,7 +9,8 @@ real-socket loopback throughput/latency, docs/WIRE.md). Three classes of
 metric:
   - deterministic invariants (event counts, row-identity, allocation
     counts): identical inputs must produce identical values, so any drift
-    fails the run;
+    fails the run; construction costs (scale_build_*) are deterministic
+    for a given toolchain and fail only when they rise above the baseline;
   - simulated results (cm_* and behavioral scale_* keys): the testbed is
     deterministic, so these get a tight drift gate (fail beyond 5%) plus
     hard acceptance floors (CM-on 4-flow Jain >= 0.95; 2:1 priority ratio
@@ -43,9 +44,16 @@ CRC_PCLMUL_SPEEDUP_FLOOR = 5.0
 # reads 0.75-1.1.
 WHEEL_BURST_FLOOR = 0.5
 
+# Construction cost of the 1-shard 10240-flow CityScale: operator-new calls
+# and bytes requested while building it. Deterministic for a given
+# toolchain, so a rise is a real regression; a fall is an improvement to
+# commit.
+BUILD_COST_KEYS = ("scale_build_allocs", "scale_build_bytes")
+
 # Non-throughput scalars: excluded from the warn pass (each is either an
 # invariant checked exactly below or a machine property).
 EXACT_KEYS = {
+    *BUILD_COST_KEYS,
     "table1_events",
     "runner_threads",
     "hardware_concurrency",
@@ -161,6 +169,14 @@ def main() -> int:
             failures.append(
                 f"{key} = {fresh.get(key)} (expected 0: this path must not"
                 " allocate in steady state)"
+            )
+
+    for key in BUILD_COST_KEYS:
+        if key in base and fresh.get(key, float("inf")) > base[key]:
+            failures.append(
+                f"{key} rose: baseline {base[key]} vs fresh {fresh.get(key)}"
+                " (building the 1-shard CityScale is deterministic; it must"
+                " not cost more than the committed value)"
             )
 
     # CRC dispatch: absolute gates on the fresh run. The pclmul kernel must

@@ -1,5 +1,6 @@
 #pragma once
-// Ring-buffer FIFO for the connection's pending-segment queue.
+// Ring-buffer FIFO for the connection's pending-segment queue and the
+// simulated links' drop-tail queues.
 //
 // std::deque allocates and frees a ~512-byte chunk roughly every
 // chunk-worth of push_back/pop_front traffic, which breaks the
@@ -9,8 +10,8 @@
 // the heap again. Popped slots are reset to T{} so element-owned resources
 // are released eagerly.
 //
-// Supports exactly what the connection needs: push_back, pop_front, random
-// access, and erase of a middle run (backpressure shedding).
+// Supports exactly what those need: push_back, pop_front, random access,
+// and erase of a middle run (the connection's backpressure shedding).
 
 #include <cstddef>
 #include <utility>

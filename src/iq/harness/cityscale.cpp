@@ -22,7 +22,8 @@ namespace iq::harness {
 namespace {
 
 // Identity scheme (all independent of the shard count):
-//   node ids:  hub group at base 0, site s at base (s+1) * kIdStride
+//   node ids:  hub group at base 0 (publisher endpoint s is node s), site s
+//              at base (s+1) * kIdStride
 //   ports:     publisher 1000+s per trunk; repeater 1000 (trunk) and
 //              2000+i (fan-out to sub i); subscriber 100
 //   flows:     trunk s+1; fan-out kFanFlowBase + global sub index
@@ -64,7 +65,9 @@ struct SubStats {
 
 struct CityScale::Hub {
   net::Network net;
-  net::Node* pub = nullptr;
+  /// One publisher endpoint node per trunk; its default route is that
+  /// site's portal link.
+  std::vector<net::Node*> pub;
   workload::MboneTrace trace;
   std::vector<std::unique_ptr<wire::ShardPortal>> to_site;
   std::vector<std::unique_ptr<wire::SimWire>> trunk_wire;
@@ -145,7 +148,10 @@ CityScale::CityScale(const CityScaleConfig& cfg) : cfg_(cfg) {
 
   hub_ = std::make_unique<Hub>(sharded_->group_sim(hub_group_),
                                cfg_.trace_seed);
-  hub_->pub = &hub_->net.add_node("pub");
+  hub_->pub.reserve(cfg_.sites);
+  for (std::size_t s = 0; s < cfg_.sites; ++s) {
+    hub_->pub.push_back(&hub_->net.add_node("pub" + std::to_string(s)));
+  }
 
   sites_.reserve(cfg_.sites);
   for (std::size_t s = 0; s < cfg_.sites; ++s) {
@@ -206,7 +212,7 @@ void CityScale::build_site(std::size_t s) {
 
   // Trunk receiver (server side).
   const net::Endpoint rep_ep{site.rep->id(), kRepTrunkPort};
-  const net::Endpoint pub_ep{hub_->pub->id(),
+  const net::Endpoint pub_ep{hub_->pub[s]->id(),
                              static_cast<std::uint16_t>(kTrunkPortBase + s)};
   site.trunk_wire = std::make_unique<wire::SimWire>(
       site.net, rep_ep, pub_ep, static_cast<std::uint32_t>(s + 1));
@@ -319,8 +325,8 @@ void CityScale::build_hub() {
   Hub& hub = *hub_;
   for (std::size_t s = 0; s < cfg_.sites; ++s) {
     Site& site = *sites_[s];
-    // Egress: one portal (and portal link) per site, routed by the
-    // repeater's node id.
+    // Egress: one portal (and portal link) per site, the default route of
+    // the site's publisher endpoint.
     hub.to_site.push_back(std::make_unique<wire::ShardPortal>(
         *sharded_, site.net,
         wire::ShardPortal::Config{.src_group = hub_group_,
@@ -331,11 +337,11 @@ void CityScale::build_hub() {
     trunk.propagation = Duration::zero();
     trunk.queue_capacity_bytes = 256 * 1500;
     net::Link& down = hub.net.add_portal_link(
-        *hub.pub, *hub.to_site[s], "site" + std::to_string(s), trunk);
-    hub.pub->set_route(site.rep->id(), &down);
+        *hub.pub[s], *hub.to_site[s], "site" + std::to_string(s), trunk);
+    hub.pub[s]->set_default_route(&down);
 
     const net::Endpoint pub_ep{
-        hub.pub->id(), static_cast<std::uint16_t>(kTrunkPortBase + s)};
+        hub.pub[s]->id(), static_cast<std::uint16_t>(kTrunkPortBase + s)};
     const net::Endpoint rep_ep{site.rep->id(), kRepTrunkPort};
     hub.trunk_wire.push_back(std::make_unique<wire::SimWire>(
         hub.net, pub_ep, rep_ep, static_cast<std::uint32_t>(s + 1)));

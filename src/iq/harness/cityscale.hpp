@@ -7,8 +7,14 @@
 //
 //   hub group (shard A)          site group s (shard B)
 //   ┌──────────┐  trunk, portal  ┌─────────┐      ┌────────┐ access ┌─────┐
-//   │ publisher ├────────────────► repeater├──────┤ router ├────────┤ sub │
+//   │  pub s   ├────────────────► repeater├──────┤ router ├────────┤ sub │
 //   └──────────┘  ≥ lookahead    └─────────┘ back └────────┘  ...   └─────┘
+//
+// The publisher has one endpoint node per trunk ("pub s", node id s in the
+// hub group); its only route is its default route, the trunk's portal link.
+// Each site is a star (repeater, router, subscribers) routed by the site
+// Network's computed next-hop tables; the repeater's default route is its
+// portal link back to the hub.
 //
 // Every group (the hub plus each site) owns its own Network and pools on
 // its group's Simulator; the only cross-group channel is the trunk through

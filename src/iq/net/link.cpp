@@ -6,42 +6,54 @@
 
 namespace iq::net {
 
+namespace {
+
+// The fault stream's seed is the drop seed mixed with this salt, so the two
+// streams differ for every drop_seed.
+constexpr std::uint64_t kFaultSeedSalt = 0x9e3779b97f4a7c15ull;
+
+// Create `rng` from `seed` the first time `p` is non-zero.
+void ensure_rng(std::unique_ptr<Rng>& rng, double p, std::uint64_t seed) {
+  if (p > 0.0 && rng == nullptr) rng = std::make_unique<Rng>(seed);
+}
+
+}  // namespace
+
 Link::Link(sim::Simulator& sim, std::string name, LinkConfig cfg,
            PacketSink& dst)
     : sim_(sim),
       name_(std::move(name)),
       cfg_(cfg),
       dst_(dst),
-      queue_(cfg.queue_capacity_bytes),
-      drop_rng_(cfg.drop_seed),
-      fault_rng_(cfg.drop_seed ^ 0x9e3779b97f4a7c15ull) {
+      queue_(cfg.queue_capacity_bytes) {
   IQ_CHECK(cfg_.rate_bps > 0);
   IQ_CHECK(!cfg_.propagation.is_negative());
-  IQ_CHECK(cfg_.drop_probability >= 0.0 && cfg_.drop_probability <= 1.0);
+  set_drop_probability(cfg_.drop_probability);
 }
 
 void Link::set_drop_probability(double p) {
   IQ_CHECK(p >= 0.0 && p <= 1.0);
   cfg_.drop_probability = p;
+  ensure_rng(drop_rng_, p, cfg_.drop_seed);
 }
 
 void Link::set_burst_loss(
     const std::optional<fault::GilbertElliottConfig>& cfg) {
-  if (cfg.has_value()) {
-    burst_.emplace(*cfg);
-  } else {
-    burst_.reset();
-  }
+  burst_ = cfg.has_value()
+               ? std::make_unique<fault::GilbertElliottModel>(*cfg)
+               : nullptr;
 }
 
 void Link::set_corrupt_probability(double p) {
   IQ_CHECK(p >= 0.0 && p <= 1.0);
   corrupt_probability_ = p;
+  ensure_rng(fault_rng_, p, cfg_.drop_seed ^ kFaultSeedSalt);
 }
 
 void Link::set_duplicate_probability(double p) {
   IQ_CHECK(p >= 0.0 && p <= 1.0);
   duplicate_probability_ = p;
+  ensure_rng(fault_rng_, p, cfg_.drop_seed ^ kFaultSeedSalt);
 }
 
 void Link::set_rate_bps(std::int64_t bps) {
@@ -94,11 +106,11 @@ void Link::transmission_done(PacketPtr p) {
   if (blackout_) {
     ++blackout_drops_;
     drop_kind = "blackout";
-  } else if (burst_.has_value() && burst_->lose()) {
+  } else if (burst_ != nullptr && burst_->lose()) {
     ++burst_drops_;
     drop_kind = "burst";
   } else if (cfg_.drop_probability > 0.0 &&
-             drop_rng_.chance(cfg_.drop_probability)) {
+             drop_rng_->chance(cfg_.drop_probability)) {
     ++random_drops_;
     drop_kind = "drop";
   }
@@ -109,7 +121,7 @@ void Link::transmission_done(PacketPtr p) {
     }
   } else {
     if (corrupt_probability_ > 0.0 &&
-        fault_rng_.chance(corrupt_probability_)) {
+        fault_rng_->chance(corrupt_probability_)) {
       // Delivered corruption: bit errors the receiver's checksum must catch.
       // PacketPtr aliases are shared, so flag a shallow copy, not the
       // original (a duplicate of this packet must stay clean).
@@ -120,7 +132,7 @@ void Link::transmission_done(PacketPtr p) {
     } else {
       const bool duplicate =
           duplicate_probability_ > 0.0 &&
-          fault_rng_.chance(duplicate_probability_);
+          fault_rng_->chance(duplicate_probability_);
       if (duplicate) {
         ++duplicates_;
         propagate(p);

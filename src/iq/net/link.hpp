@@ -4,6 +4,7 @@
 // same model Emulab's delay nodes impose, which is what the paper ran on.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -46,6 +47,9 @@ class Link final : public PacketSink, public fault::FaultTarget {
   // FaultTarget — effective for packets finishing serialization after the
   // call. Blackout/burst/corruption/duplication do not consume the i.i.d.
   // drop RNG, so enabling them leaves the base drop stream reproducible.
+  // Each generator is created when its probability (or burst config) first
+  // becomes non-zero and draws nothing before its first use, so its stream
+  // does not depend on when it was created.
   void set_blackout(bool on) override { blackout_ = on; }
   void set_drop_probability(double p) override;
   void set_burst_loss(
@@ -83,15 +87,17 @@ class Link final : public PacketSink, public fault::FaultTarget {
   std::uint64_t transmitted_ = 0;
   std::int64_t transmitted_bytes_ = 0;
   std::uint64_t random_drops_ = 0;
-  Rng drop_rng_;
+  // Generators live behind pointers: an mt19937_64 is 2.5 kB, and most
+  // links (every access link of a 10k-flow city) never draw from one.
+  std::unique_ptr<Rng> drop_rng_;
   // Fault state (see FaultTarget). The fault RNG is separate from drop_rng_
   // so corruption/duplication never perturb the i.i.d. drop stream.
   bool blackout_ = false;
-  std::optional<fault::GilbertElliottModel> burst_;
+  std::unique_ptr<fault::GilbertElliottModel> burst_;
   double corrupt_probability_ = 0.0;
   double duplicate_probability_ = 0.0;
   Duration extra_delay_ = Duration::zero();
-  Rng fault_rng_;
+  std::unique_ptr<Rng> fault_rng_;
   std::uint64_t blackout_drops_ = 0;
   std::uint64_t burst_drops_ = 0;
   std::uint64_t corrupt_deliveries_ = 0;

@@ -56,6 +56,7 @@ void Network::compute_routes() {
   for (const Edge& e : edges_) radj[li(e.to)].push_back(&e);
 
   constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::vector<Link*>> next_hop(n, std::vector<Link*>(n, nullptr));
   for (std::size_t dst = 0; dst < n; ++dst) {
     std::vector<std::uint32_t> dist(n, kInf);
     std::deque<std::size_t> bfs;
@@ -76,11 +77,14 @@ void Network::compute_routes() {
       if (src == dst || dist[src] == kInf) continue;
       for (const Edge* e : adj[src]) {
         if (dist[li(e->to)] != kInf && dist[li(e->to)] + 1 == dist[src]) {
-          nodes_[src]->set_route(nodes_[dst]->id(), e->link);
+          next_hop[src][dst] = e->link;
           break;
         }
       }
     }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    nodes_[i]->set_routes(node_id_base_, std::move(next_hop[i]));
   }
 }
 

@@ -2,8 +2,9 @@
 // Network: owner of nodes and links, route computation, packet factory.
 //
 // Topologies are built by adding nodes and (unidirectional) links, then
-// calling compute_routes() which installs shortest-path (hop-count) static
-// routes at every node — the equivalent of Emulab's static topology routing.
+// calling compute_routes() which gives every node a dense next-hop table of
+// shortest-path (hop-count) static routes — the equivalent of Emulab's
+// static topology routing.
 
 #include <memory>
 #include <string>
@@ -37,13 +38,15 @@ class Network {
 
   /// Add a one-way link from `from` into an arbitrary sink that is NOT a
   /// node of this network — the egress half of a cross-shard portal. The
-  /// link is excluded from route computation (install it explicitly via
-  /// Node::set_route / set_default_route). Zero propagation is typical:
+  /// link is excluded from route computation (make it the node's default
+  /// route with Node::set_default_route). Zero propagation is typical:
   /// the portal itself accounts for cross-shard latency.
   Link& add_portal_link(Node& from, PacketSink& sink, const std::string& name,
                         const LinkConfig& cfg);
 
-  /// Install hop-count shortest-path routes at every node (BFS per node).
+  /// Install hop-count shortest-path routes at every node (BFS per
+  /// destination): each node gets one next-hop entry per node of this
+  /// network, indexed by local index.
   void compute_routes();
 
   /// Create a packet stamped with a fresh id and the current sim time.

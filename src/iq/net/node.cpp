@@ -1,25 +1,36 @@
 #include "iq/net/node.hpp"
 
+#include <algorithm>
+
 #include "iq/common/check.hpp"
 #include "iq/common/log.hpp"
 
 namespace iq::net {
 
+std::vector<Node::Port>::iterator Node::find_port(std::uint16_t port) {
+  return std::lower_bound(
+      ports_.begin(), ports_.end(), port,
+      [](const Port& p, std::uint16_t v) { return p.port < v; });
+}
+
 void Node::bind(std::uint16_t port, PacketSink* sink) {
   IQ_CHECK(sink != nullptr);
-  ports_[port] = sink;
+  auto it = find_port(port);
+  if (it != ports_.end() && it->port == port) {
+    it->sink = sink;
+  } else {
+    ports_.insert(it, Port{port, sink});
+  }
 }
 
-void Node::unbind(std::uint16_t port) { ports_.erase(port); }
-
-void Node::set_route(NodeId dst, Link* link) {
-  IQ_CHECK(link != nullptr);
-  routes_[dst] = link;
+void Node::unbind(std::uint16_t port) {
+  auto it = find_port(port);
+  if (it != ports_.end() && it->port == port) ports_.erase(it);
 }
 
-Link* Node::route(NodeId dst) const {
-  auto it = routes_.find(dst);
-  return it == routes_.end() ? nullptr : it->second;
+void Node::set_routes(NodeId base, std::vector<Link*> next_hop) {
+  route_base_ = base;
+  next_hop_ = std::move(next_hop);
 }
 
 void Node::send(PacketPtr packet) {
@@ -36,18 +47,21 @@ void Node::deliver(PacketPtr packet) {
     route_or_drop(std::move(packet));
     return;
   }
-  auto it = ports_.find(packet->dst.port);
-  if (it == ports_.end()) {
+  auto it = find_port(packet->dst.port);
+  if (it == ports_.end() || it->port != packet->dst.port) {
     ++dead_lettered_;
     log_debug("node ", name_, ": no sink on port ", packet->dst.port);
     return;
   }
   ++delivered_local_;
-  it->second->deliver(std::move(packet));
+  it->sink->deliver(std::move(packet));
 }
 
 void Node::route_or_drop(PacketPtr packet) {
-  Link* link = route(packet->dst.node);
+  // An id below the base wraps to a huge index, so one compare rejects
+  // off-network ids on both sides of this network's range.
+  const std::size_t i = packet->dst.node - route_base_;
+  Link* link = i < next_hop_.size() ? next_hop_[i] : nullptr;
   if (link == nullptr) link = default_route_;
   if (link == nullptr) {
     ++dead_lettered_;

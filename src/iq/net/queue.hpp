@@ -1,10 +1,13 @@
 #pragma once
 // Drop-tail FIFO queue with a byte-capacity bound, as in the paper's
 // emulated routers. Tracks occupancy and drop statistics for experiments.
+// Packets sit in a RingQueue: an idle queue owns no heap memory, and once
+// the ring has grown to the queue's high-water mark, enqueue and dequeue
+// never allocate.
 
 #include <cstdint>
-#include <deque>
 
+#include "iq/common/ring_queue.hpp"
 #include "iq/net/packet.hpp"
 
 namespace iq::net {
@@ -36,7 +39,7 @@ class DropTailQueue {
   std::uint64_t enqueued_ = 0;
   std::uint64_t dropped_ = 0;
   std::int64_t dropped_bytes_ = 0;
-  std::deque<PacketPtr> items_;
+  RingQueue<PacketPtr> items_;
 };
 
 }  // namespace iq::net

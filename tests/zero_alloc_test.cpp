@@ -1,9 +1,10 @@
-// Steady-state allocation pinning: after warmup, a lossy RUDP transfer must
-// run without touching the global heap — InlineVec keeps protocol lists
-// inline, PooledMap/ObjectPool recycle nodes and segment bodies, the
-// scheduler's InlineFn keeps callbacks in its inline buffer, and the wire
-// pipe shares immutable pooled segment bodies. A regression in any of those
-// layers shows up here as a nonzero allocation delta.
+// Steady-state allocation pinning: after warmup, a lossy RUDP transfer, over
+// an in-memory pipe or across the simulated network, must run without
+// touching the global heap — InlineVec keeps protocol lists inline,
+// PooledMap/ObjectPool recycle nodes and segment bodies, the scheduler's
+// InlineFn keeps callbacks in its inline buffer, the wire pipe shares
+// immutable pooled segment bodies, and link queues are rings. A regression
+// in any of those layers shows up here as a nonzero allocation delta.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +16,12 @@
 #define IQ_COUNT_ALLOCS
 #include "../bench/bench_util.hpp"
 #include "iq/cm/manager.hpp"
+#include "iq/net/dumbbell.hpp"
 #include "iq/rudp/connection.hpp"
 #include "iq/sim/simulator.hpp"
 #include "iq/sim/timer_wheel.hpp"
 #include "iq/wire/lossy_wire.hpp"
+#include "iq/wire/sim_wire.hpp"
 
 namespace iq::rudp {
 namespace {
@@ -79,6 +82,87 @@ struct Transfer {
                                   static_cast<std::int64_t>(n) / 100 + 10));
   }
 };
+
+// The same transfer across the simulated network: RUDP over SimWire through
+// a Dumbbell whose bottleneck queues and randomly drops. The LossyWirePair
+// pins never touch net::Link, its DropTailQueue or Node forwarding; this
+// one does. Closed loop: every delivery submits the next message, so the
+// sender always holds kBacklog undelivered messages, more than the path's
+// bandwidth-delay product plus the bottleneck queue: the queue stays
+// occupied and overflows now and then.
+struct DumbbellTransfer {
+  static constexpr int kBacklog = 64;
+  static constexpr std::uint16_t kPort = 10;
+
+  sim::Simulator sim;
+  net::Network net{sim};
+  net::Dumbbell db{net, dumbbell_config()};
+  wire::SimWire snd_wire{net, {db.left(0).id(), kPort},
+                         {db.right(0).id(), kPort}, 1};
+  wire::SimWire rcv_wire{net, {db.right(0).id(), kPort},
+                         {db.left(0).id(), kPort}, 1};
+  RudpConnection sender{snd_wire, Transfer::rudp_config(), Role::Client};
+  RudpConnection receiver{rcv_wire, Transfer::rudp_config(), Role::Server};
+  std::uint64_t delivered = 0;
+
+  static net::DumbbellConfig dumbbell_config() {
+    net::DumbbellConfig c;
+    c.pairs = 1;
+    c.bottleneck_bps = 2'000'000;  // ~240 segments/s, BDP ~8 segments
+    c.bottleneck_queue_bytes = 16 * 1500;  // ~23 segments
+    c.bottleneck_drop_probability = 0.01;
+    c.bottleneck_drop_seed = 7;
+    return c;
+  }
+
+  void submit() { sender.send_message({.bytes = 1000, .marked = true}); }
+
+  DumbbellTransfer() {
+    receiver.set_message_handler([this](const DeliveredMessage&) {
+      ++delivered;
+      submit();
+    });
+    receiver.listen();
+    sender.connect();
+    for (int i = 0; i < kBacklog; ++i) submit();
+  }
+};
+
+TEST(ZeroAllocTest, SteadyStateTransferAcrossDumbbellDoesNotAllocate) {
+  if (std::getenv("IQ_AUDIT") != nullptr) {
+    GTEST_SKIP() << "IQ_AUDIT arms the flight recorder; its bookkeeping "
+                    "allocates by design";
+  }
+  DumbbellTransfer t;
+  net::Link& bottleneck = t.db.bottleneck();
+
+  // Warmup, as in the pins above: a blackout forces a worst-case repair
+  // episode, so every pool, ring and timer slab reaches a deeper high
+  // water than the measured phase reaches.
+  t.sim.after(Duration::millis(1500), [&] { bottleneck.set_blackout(true); });
+  t.sim.after(Duration::millis(3000), [&] { bottleneck.set_blackout(false); });
+  t.sim.run_until(TimePoint::zero() + Duration::seconds(40));
+  ASSERT_TRUE(t.sender.established());
+  ASSERT_GT(t.delivered, 5000u);
+
+  const std::uint64_t delivered0 = t.delivered;
+  const std::uint64_t transmitted0 = bottleneck.transmitted();
+  const std::uint64_t queued0 = bottleneck.queue().enqueued();
+  const std::uint64_t drops0 = bottleneck.random_drops();
+  const std::uint64_t before = iq::bench::alloc_count();
+  t.sim.run_until(t.sim.now() + Duration::seconds(20));
+  const std::uint64_t allocs = iq::bench::alloc_count() - before;
+
+  const std::uint64_t transmitted = bottleneck.transmitted() - transmitted0;
+  EXPECT_GT(t.delivered - delivered0, 4000u);
+  // Nearly every segment waited in the bottleneck queue, the queue filled
+  // up, and the random drop path ran.
+  EXPECT_GT(bottleneck.queue().enqueued() - queued0, transmitted * 9 / 10);
+  EXPECT_GT(bottleneck.queue().dropped(), 0u);
+  EXPECT_GT(bottleneck.random_drops() - drops0, 10u);
+  EXPECT_EQ(allocs, 0u) << "steady state across the dumbbell touched the "
+                        << "heap " << allocs << " times";
+}
 
 TEST(ZeroAllocTest, SteadyStateLossyTransferDoesNotAllocate) {
   if (std::getenv("IQ_AUDIT") != nullptr) {
