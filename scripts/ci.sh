@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: build and run the full test suite twice, then smoke the
 # perf baseline —
-#   1. the default RelWithDebInfo build (the tier-1 verify),
+#   1. the default RelWithDebInfo build (the tier-1 verify), preceded by
+#      the orphan-header check (scripts/check_orphan_headers.py: every
+#      src/iq header needs an includer outside its own .cpp and tests/),
 #   2. an ASan+UBSan build (IQ_SANITIZE=ON) to catch memory and UB errors
 #      that pass silently in the default build (this build also runs the
 #      randomized event-queue and timer-wheel property tests under the
@@ -311,6 +313,8 @@ if [[ "$mode" == "--audit" ]]; then
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--default-only" ]]; then
+  echo "== CI: orphan-header check =="
+  python3 scripts/check_orphan_headers.py
   echo "== CI: default build =="
   run_suite build
 fi

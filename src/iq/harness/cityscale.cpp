@@ -9,6 +9,7 @@
 #include "iq/core/iq_connection.hpp"
 #include "iq/echo/channel.hpp"
 #include "iq/echo/policies.hpp"
+#include "iq/harness/flow_pair.hpp"
 #include "iq/harness/runner.hpp"
 #include "iq/net/network.hpp"
 #include "iq/sim/timer.hpp"
@@ -100,11 +101,8 @@ struct CityScale::Site {
   // they detach (at destruction) while the manager is still alive.
   std::unique_ptr<cm::CongestionManager> cmgr;
 
-  // Fan-out flows, one per subscriber.
-  std::vector<std::unique_ptr<wire::SimWire>> fan_snd_wire;
-  std::vector<std::unique_ptr<wire::SimWire>> fan_rcv_wire;
-  std::vector<std::unique_ptr<core::IqRudpConnection>> fan_snd;
-  std::vector<std::unique_ptr<core::IqRudpConnection>> fan_rcv;
+  // Fan-out flows, one per subscriber: repeater client, subscriber server.
+  std::vector<std::unique_ptr<FlowPair>> fan;
   std::vector<std::unique_ptr<echo::EventChannel>> fan_chan_snd;
   std::vector<std::unique_ptr<echo::EventChannel>> fan_chan_rcv;
   std::vector<echo::ResolutionPolicy> policy;
@@ -241,35 +239,28 @@ void CityScale::build_site(std::size_t s) {
     const net::Endpoint rcv_ep{site.subs[i]->id(), kSubPort};
     const auto flow = static_cast<std::uint32_t>(kFanFlowBase + global);
 
-    site.fan_snd_wire.push_back(
-        std::make_unique<wire::SimWire>(site.net, snd_ep, rcv_ep, flow));
-    site.fan_rcv_wire.push_back(
-        std::make_unique<wire::SimWire>(site.net, rcv_ep, snd_ep, flow));
-
     rudp::RudpConfig fcfg;
-    fcfg.conn_id = static_cast<std::uint32_t>(kFanFlowBase + global);
+    fcfg.conn_id = flow;
     fcfg.loss_epoch_packets = 50;  // adapt on a few seconds of slow flows
-    site.fan_snd.push_back(std::make_unique<core::IqRudpConnection>(
-        *site.fan_snd_wire[i], fcfg, rudp::Role::Client,
+    site.fan.push_back(std::make_unique<FlowPair>(
+        site.net, snd_ep, rcv_ep, flow, fcfg, fcfg,
         core::CoordinatorConfig{.mode = cfg_.mode}));
-    site.fan_rcv.push_back(std::make_unique<core::IqRudpConnection>(
-        *site.fan_rcv_wire[i], fcfg, rudp::Role::Server,
-        core::CoordinatorConfig{.mode = cfg_.mode}));
-    site.fan_rcv[i]->listen();
-    site.fan_snd[i]->connect();
-    if (site.cmgr) site.fan_snd[i]->attach_cm(*site.cmgr, 1.0);
+    FlowPair& pair = *site.fan[i];
+    pair.server.listen();
+    pair.client.connect();
+    if (site.cmgr) pair.client.attach_cm(*site.cmgr, 1.0);
 
     site.fan_chan_snd.push_back(std::make_unique<echo::EventChannel>(
-        "fan" + std::to_string(global), *site.fan_snd[i]));
+        "fan" + std::to_string(global), pair.client));
     site.fan_chan_rcv.push_back(std::make_unique<echo::EventChannel>(
-        "fan" + std::to_string(global), *site.fan_rcv[i]));
+        "fan" + std::to_string(global), pair.server));
 
     // Application adaptation: resolution policy on error-ratio thresholds.
     // The returned attrs describe the step; the coordinator consumes them
     // when Coordinated and ignores them when Uncoordinated — the app
     // adapts identically either way, which is the paper's comparison.
     Site* sp = &site;
-    site.fan_snd[i]->register_error_ratio_callbacks(
+    pair.client.register_error_ratio_callbacks(
         cfg_.adapt_upper, cfg_.adapt_lower,
         [sp, i](const attr::CallbackContext& ctx) {
           return sp->policy[i].shrink(ctx.value).to_attrs();

@@ -4,10 +4,10 @@
 
 #include "iq/common/check.hpp"
 #include "iq/echo/sink.hpp"
+#include "iq/harness/flow_pair.hpp"
 #include "iq/net/sinks.hpp"
 #include "iq/sim/timer.hpp"
 #include "iq/tcp/tcp_source.hpp"
-#include "iq/wire/sim_wire.hpp"
 #include "iq/workload/cbr_source.hpp"
 #include "iq/workload/vbr_source.hpp"
 
@@ -45,7 +45,7 @@ SchemeSpec SchemeSpec::iq_rudp_no_cond() {
   return s;
 }
 
-SchemeSpec SchemeSpec::app_only(double) {
+SchemeSpec SchemeSpec::app_only() {
   return SchemeSpec{.label = "App adaptation only",
                     .cc = rudp::CcKind::Fixed,
                     .mode = core::CoordinationMode::Uncoordinated};
@@ -73,10 +73,7 @@ struct Scenario {
   std::unique_ptr<tcp::BulkTcpSource> tcp_cross_bulk;
 
   // RUDP app flow.
-  std::unique_ptr<wire::SimWire> wire_snd;
-  std::unique_ptr<wire::SimWire> wire_rcv;
-  std::unique_ptr<core::IqRudpConnection> conn_snd;
-  std::unique_ptr<core::IqRudpConnection> conn_rcv;
+  std::unique_ptr<FlowPair> flow;
   std::unique_ptr<echo::EventChannel> chan_snd;
   std::unique_ptr<echo::EventChannel> chan_rcv;
   std::unique_ptr<echo::AdaptiveSource> source;
@@ -150,14 +147,6 @@ void start_cross_traffic(Scenario& s, const ExperimentConfig& cfg) {
 }
 
 void build_rudp_flow(Scenario& s, const ExperimentConfig& cfg) {
-  auto& db = *s.dumbbell;
-  const net::Endpoint snd_ep{db.left(0).id(), kAppPort};
-  const net::Endpoint rcv_ep{db.right(0).id(), kAppPort};
-  s.wire_snd = std::make_unique<wire::SimWire>(s.network, snd_ep, rcv_ep,
-                                               kAppFlow);
-  s.wire_rcv = std::make_unique<wire::SimWire>(s.network, rcv_ep, snd_ep,
-                                               kAppFlow);
-
   rudp::RudpConfig rc;
   rc.conn_id = 1;
   rc.cc_kind = cfg.scheme.cc;
@@ -174,13 +163,15 @@ void build_rudp_flow(Scenario& s, const ExperimentConfig& cfg) {
   cc.enable_overreaction_scheme = cfg.scheme.enable_overreaction;
   cc.rescale_on_frequency = cfg.scheme.rescale_on_frequency;
 
-  s.conn_snd = std::make_unique<core::IqRudpConnection>(
-      *s.wire_snd, rc, rudp::Role::Client, cc);
-  s.conn_rcv = std::make_unique<core::IqRudpConnection>(
-      *s.wire_rcv, rc_rcv, rudp::Role::Server, cc);
+  auto& db = *s.dumbbell;
+  s.flow = std::make_unique<FlowPair>(
+      s.network, net::Endpoint{db.left(0).id(), kAppPort},
+      net::Endpoint{db.right(0).id(), kAppPort}, kAppFlow, rc, rc_rcv, cc);
+  core::IqRudpConnection& snd = s.flow->client;
+  core::IqRudpConnection& rcv = s.flow->server;
 
-  s.chan_snd = std::make_unique<echo::EventChannel>("viz", *s.conn_snd);
-  s.chan_rcv = std::make_unique<echo::EventChannel>("viz", *s.conn_rcv);
+  s.chan_snd = std::make_unique<echo::EventChannel>("viz", snd);
+  s.chan_rcv = std::make_unique<echo::EventChannel>("viz", rcv);
   s.sink = std::make_unique<echo::MetricSink>(
       *s.chan_rcv, s.metrics, cfg.collect_jitter_series ? &s.jitter : nullptr);
 
@@ -205,27 +196,27 @@ void build_rudp_flow(Scenario& s, const ExperimentConfig& cfg) {
       *s.chan_snd, s.app_schedule.get(), sc, &s.metrics);
 
   // Packet-level arrival tracking at the receiver (paper Table 1/2 metric).
-  s.conn_rcv->transport().set_segment_tap(
+  rcv.transport().set_segment_tap(
       [&s](rudp::RudpConnection::TapDirection dir, const rudp::Segment& seg) {
         if (dir == rudp::RudpConnection::TapDirection::In &&
             seg.type == rudp::SegmentType::Data) {
           s.pkt_arrivals.arrival(s.sim.now());
         }
       });
-  s.conn_snd->set_epoch_observer([&s](const rudp::EpochReport& r) {
+  snd.set_epoch_observer([&s](const rudp::EpochReport& r) {
     ++s.epochs;
     s.max_epoch_loss = std::max(s.max_epoch_loss, r.loss_ratio);
     s.sum_epoch_loss += r.loss_ratio;
   });
-  s.conn_rcv->listen();
-  s.conn_snd->set_established_handler([&s] { s.source->start(); });
-  s.conn_snd->connect();
+  rcv.listen();
+  snd.set_established_handler([&s] { s.source->start(); });
+  snd.connect();
 
   if (cfg.collect_cwnd_series) {
     s.cwnd_sampler = std::make_unique<sim::PeriodicTask>(
         s.sim, Duration::millis(100), [&s] {
           s.cwnd.add(s.sim.now(),
-                     s.conn_snd->transport().congestion().cwnd());
+                     s.flow->client.transport().congestion().cwnd());
         });
     s.cwnd_sampler->start();
   }
@@ -307,7 +298,7 @@ bool workload_finished(const Scenario& s, const ExperimentConfig& cfg) {
   if (cfg.scheme.use_tcp) {
     return s.tcp_frames_sent >= cfg.total_frames && s.tcp_snd->send_idle();
   }
-  return s.source->done() && s.conn_snd->transport().send_idle();
+  return s.source->done() && s.flow->client.transport().send_idle();
 }
 
 }  // namespace
@@ -341,15 +332,14 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   result.sim_seconds = s.sim.now().to_seconds();
   result.events_executed = s.sim.events_executed();
   if (!cfg.scheme.use_tcp) {
-    result.rudp = s.conn_snd->transport().stats();
+    const rudp::RudpConnection& snd = s.flow->client.transport();
+    const rudp::RudpConnection& rcv = s.flow->server.transport();
+    result.rudp = snd.stats();
     // Receiver-side delivery/drop counters live on the other endpoint.
-    result.rudp.messages_delivered =
-        s.conn_rcv->transport().stats().messages_delivered;
-    result.rudp.messages_dropped =
-        s.conn_rcv->transport().stats().messages_dropped;
-    result.coordination = s.conn_snd->coordinator().stats();
-    result.app_lifetime_loss_ratio =
-        s.conn_snd->transport().lifetime_loss_ratio();
+    result.rudp.messages_delivered = rcv.stats().messages_delivered;
+    result.rudp.messages_dropped = rcv.stats().messages_dropped;
+    result.coordination = s.flow->client.coordinator().stats();
+    result.app_lifetime_loss_ratio = snd.lifetime_loss_ratio();
     result.epochs = s.epochs;
     result.max_epoch_loss = s.max_epoch_loss;
     result.mean_epoch_loss =

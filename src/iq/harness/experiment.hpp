@@ -39,8 +39,8 @@ struct SchemeSpec {
   /// IQ-RUDP with eq. (1) compensation disabled (Table 8 middle row).
   static SchemeSpec iq_rudp_no_cond();
   /// Congestion window instrumented off — application adaptation only
-  /// (Table 1 row 3).
-  static SchemeSpec app_only(double fixed_cwnd = 256.0);
+  /// (Table 1 row 3). The window is ExperimentConfig::fixed_cwnd.
+  static SchemeSpec app_only();
 };
 
 struct ExperimentConfig {

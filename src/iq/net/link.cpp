@@ -1,7 +1,5 @@
 #include "iq/net/link.hpp"
 
-#include <cstdio>
-
 #include "iq/common/check.hpp"
 
 namespace iq::net {
@@ -63,22 +61,9 @@ void Link::set_rate_bps(std::int64_t bps) {
   cfg_.rate_bps = bps;
 }
 
-void Link::trace_text(const char* kind, const Packet& p) {
-  char buf[192];
-  const double t = static_cast<double>(sim_.now().ns()) * 1e-9;
-  std::snprintf(buf, sizeof(buf), "%.6f %s %s %s", t, kind, name_.c_str(),
-                p.describe().c_str());
-  tracer_->on_text(*this, buf);
-}
-
 void Link::deliver(PacketPtr packet) {
   if (busy_) {
-    if (!queue_.enqueue(packet)) {
-      if (tracer_ != nullptr) {
-        tracer_->on_drop(*this, *packet);
-        if (trace_text_) trace_text("drop", *packet);
-      }
-    }
+    queue_.enqueue(std::move(packet));
     return;
   }
   start_transmission(std::move(packet));
@@ -86,10 +71,6 @@ void Link::deliver(PacketPtr packet) {
 
 void Link::start_transmission(PacketPtr p) {
   busy_ = true;
-  if (tracer_ != nullptr) {
-    tracer_->on_transmit(*this, *p);
-    if (trace_text_) trace_text("tx", *p);
-  }
   const Duration tx = transmission_time(p->wire_bytes, cfg_.rate_bps);
   sim_.after(tx, [this, p = std::move(p)]() mutable {
     transmission_done(std::move(p));
@@ -102,43 +83,29 @@ void Link::transmission_done(PacketPtr p) {
   // Medium loss, in order of severity: an outage beats burst state beats the
   // i.i.d. drop coin. Every lost packet still consumed its serialization
   // time — a lossy medium burns bandwidth on packets it then destroys.
-  const char* drop_kind = nullptr;
   if (blackout_) {
     ++blackout_drops_;
-    drop_kind = "blackout";
   } else if (burst_ != nullptr && burst_->lose()) {
     ++burst_drops_;
-    drop_kind = "burst";
   } else if (cfg_.drop_probability > 0.0 &&
              drop_rng_->chance(cfg_.drop_probability)) {
     ++random_drops_;
-    drop_kind = "drop";
-  }
-  if (drop_kind != nullptr) {
-    if (tracer_ != nullptr) {
-      tracer_->on_drop(*this, *p);
-      if (trace_text_) trace_text(drop_kind, *p);
-    }
+  } else if (corrupt_probability_ > 0.0 &&
+             fault_rng_->chance(corrupt_probability_)) {
+    // Delivered corruption: bit errors the receiver's checksum must catch.
+    // PacketPtr aliases are shared, so flag a shallow copy, not the
+    // original (a duplicate of this packet must stay clean).
+    auto damaged = std::make_shared<Packet>(*p);
+    damaged->corrupted = true;
+    ++corrupt_deliveries_;
+    propagate(std::move(damaged));
   } else {
-    if (corrupt_probability_ > 0.0 &&
-        fault_rng_->chance(corrupt_probability_)) {
-      // Delivered corruption: bit errors the receiver's checksum must catch.
-      // PacketPtr aliases are shared, so flag a shallow copy, not the
-      // original (a duplicate of this packet must stay clean).
-      auto damaged = std::make_shared<Packet>(*p);
-      damaged->corrupted = true;
-      ++corrupt_deliveries_;
-      propagate(std::move(damaged));
-    } else {
-      const bool duplicate =
-          duplicate_probability_ > 0.0 &&
-          fault_rng_->chance(duplicate_probability_);
-      if (duplicate) {
-        ++duplicates_;
-        propagate(p);
-      }
-      propagate(std::move(p));
+    if (duplicate_probability_ > 0.0 &&
+        fault_rng_->chance(duplicate_probability_)) {
+      ++duplicates_;
+      propagate(p);
     }
+    propagate(std::move(p));
   }
   if (!queue_.empty()) {
     start_transmission(queue_.dequeue());
@@ -151,10 +118,6 @@ void Link::propagate(PacketPtr p) {
   // Propagation: the packet is in flight; the transmitter is free now.
   sim_.after(cfg_.propagation + extra_delay_,
              [this, p = std::move(p)]() mutable {
-               if (tracer_ != nullptr) {
-                 tracer_->on_deliver(*this, *p);
-                 if (trace_text_) trace_text("rx", *p);
-               }
                dst_.deliver(std::move(p));
              });
 }

@@ -12,7 +12,6 @@
 #include "iq/fault/loss_model.hpp"
 #include "iq/fault/target.hpp"
 #include "iq/net/queue.hpp"
-#include "iq/net/tracer.hpp"
 #include "iq/sim/simulator.hpp"
 
 namespace iq::net {
@@ -65,18 +64,10 @@ class Link final : public PacketSink, public fault::FaultTarget {
   std::uint64_t corrupt_deliveries() const { return corrupt_deliveries_; }
   std::uint64_t duplicates() const { return duplicates_; }
 
-  void set_tracer(Tracer* tracer) {
-    tracer_ = tracer;
-    // Cache the answer so the per-packet path never pays a virtual call
-    // (let alone string formatting) when nobody wants text.
-    trace_text_ = tracer != nullptr && tracer->wants_text();
-  }
-
  private:
   void start_transmission(PacketPtr p);
   void transmission_done(PacketPtr p);
   void propagate(PacketPtr p);
-  void trace_text(const char* kind, const Packet& p);
 
   sim::Simulator& sim_;
   std::string name_;
@@ -102,8 +93,6 @@ class Link final : public PacketSink, public fault::FaultTarget {
   std::uint64_t burst_drops_ = 0;
   std::uint64_t corrupt_deliveries_ = 0;
   std::uint64_t duplicates_ = 0;
-  Tracer* tracer_ = nullptr;
-  bool trace_text_ = false;
 };
 
 }  // namespace iq::net

@@ -14,10 +14,8 @@ Node& Network::add_node(const std::string& name) {
 }
 
 Link& Network::add_link(Node& from, Node& to, const LinkConfig& cfg) {
-  auto link = std::make_unique<Link>(
-      sim_, from.name() + "->" + to.name(), cfg, to);
-  link->set_tracer(tracer_);
-  links_.push_back(std::move(link));
+  links_.push_back(std::make_unique<Link>(
+      sim_, from.name() + "->" + to.name(), cfg, to));
   edges_.push_back(Edge{from.id(), to.id(), links_.back().get()});
   return *links_.back();
 }
@@ -30,10 +28,8 @@ void Network::add_duplex_link(Node& a, Node& b, const LinkConfig& cfg) {
 Link& Network::add_portal_link(Node& from, PacketSink& sink,
                                const std::string& name,
                                const LinkConfig& cfg) {
-  auto link = std::make_unique<Link>(sim_, from.name() + "->" + name, cfg,
-                                     sink);
-  link->set_tracer(tracer_);
-  links_.push_back(std::move(link));
+  links_.push_back(std::make_unique<Link>(
+      sim_, from.name() + "->" + name, cfg, sink));
   // Deliberately not an Edge: the sink is outside this network's node set,
   // so compute_routes() must not see it.
   return *links_.back();
@@ -103,11 +99,6 @@ PacketPtr Network::make_packet(Endpoint src, Endpoint dst, std::uint32_t flow,
   p->corrupted = corrupted;
   p->body = std::move(body);
   return p;
-}
-
-void Network::set_tracer(Tracer* tracer) {
-  tracer_ = tracer;
-  for (auto& link : links_) link->set_tracer(tracer);
 }
 
 Node& Network::node(NodeId id) {

@@ -13,7 +13,6 @@
 #include "iq/net/link.hpp"
 #include "iq/net/node.hpp"
 #include "iq/net/pool.hpp"
-#include "iq/net/tracer.hpp"
 #include "iq/sim/simulator.hpp"
 
 namespace iq::net {
@@ -60,9 +59,6 @@ class Network {
 
   PoolStats packet_pool_stats() const { return packet_pool_.stats(); }
 
-  /// Install a tracer on every link (and future links).
-  void set_tracer(Tracer* tracer);
-
   sim::Simulator& sim() { return sim_; }
   Node& node(NodeId id);
   const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
@@ -82,7 +78,6 @@ class Network {
   std::vector<Edge> edges_;
   std::uint64_t next_packet_id_ = 1;
   ObjectPool<Packet> packet_pool_;
-  Tracer* tracer_ = nullptr;
 };
 
 }  // namespace iq::net

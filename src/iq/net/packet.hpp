@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "iq/common/time.hpp"
 
@@ -33,10 +32,10 @@ struct PacketBody {
 inline constexpr std::int64_t kUdpIpHeaderBytes = 28;
 
 struct Packet {
-  std::uint64_t id = 0;          ///< unique per network, for tracing
+  std::uint64_t id = 0;          ///< unique per network
   Endpoint src;
   Endpoint dst;
-  std::uint32_t flow = 0;        ///< flow label for stats/tracing
+  std::uint32_t flow = 0;        ///< flow label
   std::int64_t wire_bytes = 0;   ///< total size on the wire, headers included
   TimePoint created;             ///< when the packet entered the network
   /// Set by fault injection: delivered with bit errors. Receivers must treat
@@ -44,8 +43,6 @@ struct Packet {
   /// the way a real checksum would.
   bool corrupted = false;
   std::shared_ptr<const PacketBody> body;
-
-  std::string describe() const;
 };
 
 using PacketPtr = std::shared_ptr<const Packet>;

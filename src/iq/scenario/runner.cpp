@@ -13,15 +13,17 @@
 #include "iq/echo/sink.hpp"
 #include "iq/echo/source.hpp"
 #include "iq/fault/injector.hpp"
+#include "iq/harness/flow_pair.hpp"
 #include "iq/net/dumbbell.hpp"
 #include "iq/sim/simulator.hpp"
 #include "iq/sim/timer.hpp"
 #include "iq/stats/metrics.hpp"
-#include "iq/wire/sim_wire.hpp"
 
 namespace iq::scenario {
 
 namespace {
+
+using harness::FlowPair;
 
 // Each flow gets a private port range; every reconnect generation binds the
 // next port so a dead generation's wires never shadow the live one.
@@ -40,10 +42,7 @@ struct FtpFlow {
   std::uint64_t reconnects = 0;
 
   std::unique_ptr<ftp::FileImage> image;
-  std::unique_ptr<wire::SimWire> wire_snd;
-  std::unique_ptr<wire::SimWire> wire_rcv;
-  std::unique_ptr<core::IqRudpConnection> conn_snd;
-  std::unique_ptr<core::IqRudpConnection> conn_rcv;
+  std::unique_ptr<FlowPair> conns;
   std::unique_ptr<ftp::IqFtpSender> sender;
   std::unique_ptr<ftp::IqFtpReceiver> receiver;
 };
@@ -61,10 +60,7 @@ struct Run {
   std::vector<std::unique_ptr<FtpFlow>> flows;
 
   // Optional echo video flow on the last dumbbell pair.
-  std::unique_ptr<wire::SimWire> video_wire_snd;
-  std::unique_ptr<wire::SimWire> video_wire_rcv;
-  std::unique_ptr<core::IqRudpConnection> video_conn_snd;
-  std::unique_ptr<core::IqRudpConnection> video_conn_rcv;
+  std::unique_ptr<FlowPair> video;
   std::unique_ptr<echo::EventChannel> video_chan_snd;
   std::unique_ptr<echo::EventChannel> video_chan_rcv;
   std::unique_ptr<echo::AdaptiveSource> video_source;
@@ -118,54 +114,57 @@ core::CoordinatorConfig coordinator_config(const Run& r) {
   return cc;
 }
 
-void schedule_reconnect(Run& r, FtpFlow& f);
+/// A connection pair with the auditor armed on both ends.
+std::unique_ptr<FlowPair> audited_pair(Run& r, net::Endpoint snd_ep,
+                                       net::Endpoint rcv_ep,
+                                       std::uint32_t flow,
+                                       const rudp::RudpConfig& snd_cfg,
+                                       const rudp::RudpConfig& rcv_cfg) {
+  auto pair = std::make_unique<FlowPair>(r.network, snd_ep, rcv_ep, flow,
+                                         snd_cfg, rcv_cfg,
+                                         coordinator_config(r));
+  arm_audit(pair->client);
+  arm_audit(pair->server);
+  return pair;
+}
 
-/// Build connection generation `f.generation` and hand the transfer to it.
-/// `resuming` distinguishes the first generation (fresh start) from a
-/// reconnect after terminal failure.
-void open_flow(Run& r, FtpFlow& f, bool resuming) {
+/// Connection generation `f.generation` of FTP flow `f`.
+std::unique_ptr<FlowPair> make_ftp_pair(Run& r, const FtpFlow& f) {
   auto& db = *r.dumbbell;
   const std::uint16_t port = static_cast<std::uint16_t>(
       kFtpPortBase + f.index * kPortsPerFlow + f.generation);
-  const net::Endpoint snd_ep{db.left(f.index).id(), port};
-  const net::Endpoint rcv_ep{db.right(f.index).id(), port};
-  const auto flow_label =
-      static_cast<std::uint32_t>(kFtpFlowBase + f.index);
+  return audited_pair(r, {db.left(f.index).id(), port},
+                      {db.right(f.index).id(), port},
+                      static_cast<std::uint32_t>(kFtpFlowBase + f.index),
+                      flow_rudp_config(r, f, false),
+                      flow_rudp_config(r, f, true));
+}
 
-  auto wire_snd = std::make_unique<wire::SimWire>(r.network, snd_ep, rcv_ep,
-                                                  flow_label);
-  auto wire_rcv = std::make_unique<wire::SimWire>(r.network, rcv_ep, snd_ep,
-                                                  flow_label);
-  auto conn_snd = std::make_unique<core::IqRudpConnection>(
-      *wire_snd, flow_rudp_config(r, f, false), rudp::Role::Client,
-      coordinator_config(r));
-  auto conn_rcv = std::make_unique<core::IqRudpConnection>(
-      *wire_rcv, flow_rudp_config(r, f, true), rudp::Role::Server,
-      coordinator_config(r));
-  arm_audit(*conn_snd);
-  arm_audit(*conn_rcv);
+void schedule_reconnect(Run& r, FtpFlow& f);
 
-  if (resuming) {
-    // Old connections are still alive here: the receiver folds their drop
-    // counters into its completion bookkeeping, and we bank their stats.
-    f.sender->attach(*conn_snd);
-    f.receiver->attach(*conn_rcv);
-    harvest(r, *f.conn_snd, /*quiescent_check=*/false);
-    harvest(r, *f.conn_rcv, /*quiescent_check=*/false);
-  }
-  // Connections reference their wires: retire the old generation's
-  // connections before its wires.
-  f.conn_snd = std::move(conn_snd);
-  f.conn_rcv = std::move(conn_rcv);
-  f.wire_snd = std::move(wire_snd);
-  f.wire_rcv = std::move(wire_rcv);
-
+/// Reconnect on terminal failure of either end; start the transfer once
+/// the client is established.
+void hook_ftp_pair(Run& r, FtpFlow& f) {
   auto on_error = [&r, &f](rudp::FailureReason) { schedule_reconnect(r, f); };
-  f.conn_snd->set_error_observer(on_error);
-  f.conn_rcv->set_error_observer(on_error);
-  f.conn_snd->set_established_handler([&f] { f.sender->start(); });
-  f.conn_rcv->listen();
-  f.conn_snd->connect();
+  f.conns->client.set_error_observer(on_error);
+  f.conns->server.set_error_observer(on_error);
+  f.conns->client.set_established_handler([&f] { f.sender->start(); });
+}
+
+/// Build connection generation `f.generation` after a terminal failure and
+/// hand the transfer to it.
+void reopen_flow(Run& r, FtpFlow& f) {
+  auto conns = make_ftp_pair(r, f);
+  // The old pair is still alive here: the receiver folds its drop counters
+  // into its completion bookkeeping, and we bank its stats.
+  f.sender->attach(conns->client);
+  f.receiver->attach(conns->server);
+  harvest(r, f.conns->client, /*quiescent_check=*/false);
+  harvest(r, f.conns->server, /*quiescent_check=*/false);
+  f.conns = std::move(conns);
+  hook_ftp_pair(r, f);
+  f.conns->server.listen();
+  f.conns->client.connect();
 }
 
 void schedule_reconnect(Run& r, FtpFlow& f) {
@@ -176,7 +175,7 @@ void schedule_reconnect(Run& r, FtpFlow& f) {
     f.reconnect_pending = false;
     ++f.generation;
     ++f.reconnects;
-    open_flow(r, f, /*resuming=*/true);
+    reopen_flow(r, f);
   });
 }
 
@@ -192,30 +191,12 @@ void build_flow(Run& r, std::size_t index) {
   FtpFlow& flow = *f;
   r.flows.push_back(std::move(f));
 
-  auto& db = *r.dumbbell;
-  const std::uint16_t port =
-      static_cast<std::uint16_t>(kFtpPortBase + index * kPortsPerFlow);
-  const net::Endpoint snd_ep{db.left(index).id(), port};
-  const net::Endpoint rcv_ep{db.right(index).id(), port};
-  const auto flow_label = static_cast<std::uint32_t>(kFtpFlowBase + index);
-  flow.wire_snd = std::make_unique<wire::SimWire>(r.network, snd_ep, rcv_ep,
-                                                  flow_label);
-  flow.wire_rcv = std::make_unique<wire::SimWire>(r.network, rcv_ep, snd_ep,
-                                                  flow_label);
-  flow.conn_snd = std::make_unique<core::IqRudpConnection>(
-      *flow.wire_snd, flow_rudp_config(r, flow, false), rudp::Role::Client,
-      coordinator_config(r));
-  flow.conn_rcv = std::make_unique<core::IqRudpConnection>(
-      *flow.wire_rcv, flow_rudp_config(r, flow, true), rudp::Role::Server,
-      coordinator_config(r));
-  arm_audit(*flow.conn_snd);
-  arm_audit(*flow.conn_rcv);
-
+  flow.conns = make_ftp_pair(r, flow);
   flow.sender = std::make_unique<ftp::IqFtpSender>(
-      *flow.conn_snd, r.cfg.file,
+      flow.conns->client, r.cfg.file,
       [stride](std::uint64_t i) { return i % stride == 0; },
       flow.image.get());
-  flow.receiver = std::make_unique<ftp::IqFtpReceiver>(*flow.conn_rcv);
+  flow.receiver = std::make_unique<ftp::IqFtpReceiver>(flow.conns->server);
   flow.receiver->set_deadline_policy(r.cfg.deadline);
   // Graceful degradation, not data loss: blocks abandoned within the
   // receiver's tolerance are re-sent reliably once the bulk pass is done.
@@ -223,17 +204,11 @@ void build_flow(Run& r, std::size_t index) {
       [&flow](const ftp::IqFtpReceiver::Report& rep) {
         if (!rep.missing.empty()) flow.sender->fill_holes(rep.missing);
       });
-
-  auto on_error = [&r, &flow](rudp::FailureReason) {
-    schedule_reconnect(r, flow);
-  };
-  flow.conn_snd->set_error_observer(on_error);
-  flow.conn_rcv->set_error_observer(on_error);
-  flow.conn_snd->set_established_handler([&flow] { flow.sender->start(); });
+  hook_ftp_pair(r, flow);
 
   r.sim.at(TimePoint::zero() + r.cfg.start_at, [&flow] {
-    flow.conn_rcv->listen();
-    flow.conn_snd->connect();
+    flow.conns->server.listen();
+    flow.conns->client.connect();
   });
 }
 
@@ -243,29 +218,18 @@ void build_video(Run& r) {
   // The video rides the last dumbbell pair, after the FTP senders.
   const std::size_t pair = r.cfg.net.pairs - 1;
   IQ_CHECK(pair >= r.cfg.senders);
-  const net::Endpoint snd_ep{db.left(pair).id(), kVideoPort};
-  const net::Endpoint rcv_ep{db.right(pair).id(), kVideoPort};
-  r.video_wire_snd = std::make_unique<wire::SimWire>(r.network, snd_ep,
-                                                     rcv_ep, kVideoFlow);
-  r.video_wire_rcv = std::make_unique<wire::SimWire>(r.network, rcv_ep,
-                                                     snd_ep, kVideoFlow);
-
   rudp::RudpConfig rc;
   rc.conn_id = 1;
   rudp::RudpConfig rc_rcv = rc;
   if (r.cfg.coordinated) rc_rcv.recv_loss_tolerance = 0.3;
-
-  r.video_conn_snd = std::make_unique<core::IqRudpConnection>(
-      *r.video_wire_snd, rc, rudp::Role::Client, coordinator_config(r));
-  r.video_conn_rcv = std::make_unique<core::IqRudpConnection>(
-      *r.video_wire_rcv, rc_rcv, rudp::Role::Server, coordinator_config(r));
-  arm_audit(*r.video_conn_snd);
-  arm_audit(*r.video_conn_rcv);
+  r.video = audited_pair(r, {db.left(pair).id(), kVideoPort},
+                         {db.right(pair).id(), kVideoPort}, kVideoFlow, rc,
+                         rc_rcv);
 
   r.video_chan_snd =
-      std::make_unique<echo::EventChannel>("video", *r.video_conn_snd);
+      std::make_unique<echo::EventChannel>("video", r.video->client);
   r.video_chan_rcv =
-      std::make_unique<echo::EventChannel>("video", *r.video_conn_rcv);
+      std::make_unique<echo::EventChannel>("video", r.video->server);
   r.video_sink =
       std::make_unique<echo::MetricSink>(*r.video_chan_rcv, r.video_metrics);
 
@@ -283,10 +247,10 @@ void build_video(Run& r) {
   r.video_source = std::make_unique<echo::AdaptiveSource>(
       *r.video_chan_snd, nullptr, sc, &r.video_metrics);
 
-  r.video_conn_snd->set_established_handler([&r] { r.video_source->start(); });
+  r.video->client.set_established_handler([&r] { r.video_source->start(); });
   r.sim.at(TimePoint::zero() + r.cfg.start_at, [&r] {
-    r.video_conn_rcv->listen();
-    r.video_conn_snd->connect();
+    r.video->server.listen();
+    r.video->client.connect();
   });
 }
 
@@ -374,12 +338,12 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     if (rep.critical_received < f->sender->critical_blocks()) {
       result.critical_complete = false;
     }
-    harvest(r, *f->conn_snd, /*quiescent_check=*/true);
-    harvest(r, *f->conn_rcv, /*quiescent_check=*/true);
+    harvest(r, f->conns->client, /*quiescent_check=*/true);
+    harvest(r, f->conns->server, /*quiescent_check=*/true);
   }
   if (cfg.video) {
-    harvest(r, *r.video_conn_snd, /*quiescent_check=*/true);
-    harvest(r, *r.video_conn_rcv, /*quiescent_check=*/true);
+    harvest(r, r.video->client, /*quiescent_check=*/true);
+    harvest(r, r.video->server, /*quiescent_check=*/true);
   }
   result.deadline_hit_ratio =
       result.blocks_total == 0

@@ -4,6 +4,10 @@
 // an in-memory pipe, all seeded and deterministic. Implements
 // fault::FaultTarget, so a FaultInjector can drive it from a FaultPlan the
 // same way it drives net::Link.
+//
+// With no impairment configured (`LossyConfig{.one_way_delay = d}`) it is
+// the fixed-delay, lossless pipe the unit tests use: one scheduled event
+// per segment, delivered exactly `d` later.
 
 #include <memory>
 #include <optional>

@@ -14,7 +14,6 @@
 #include "iq/core/iq_connection.hpp"
 #include "iq/sim/simulator.hpp"
 #include "iq/wire/lossy_wire.hpp"
-#include "iq/wire/wire.hpp"
 
 namespace iq::cm {
 namespace {
@@ -349,8 +348,8 @@ TEST(CmAuditorTest, DedupAccountingViolationTrips) {
 
 struct CmPair {
   sim::Simulator sim;
-  wire::DirectWirePair wires_a{sim, Duration::millis(15)};
-  wire::DirectWirePair wires_b{sim, Duration::millis(15)};
+  wire::LossyWirePair wires_a{sim, {.one_way_delay = Duration::millis(15)}};
+  wire::LossyWirePair wires_b{sim, {.one_way_delay = Duration::millis(15)}};
   CongestionManager mgr;
   std::unique_ptr<core::IqRudpConnection> snd_a, rcv_a, snd_b, rcv_b;
 
@@ -440,7 +439,7 @@ TEST(CmIntegrationTest, CoordinatorDonationKeepsAggregate) {
 
 TEST(CmIntegrationTest, AggregateRescaleModeRoutesToManager) {
   sim::Simulator sim;
-  wire::DirectWirePair wires(sim, Duration::millis(15));
+  wire::LossyWirePair wires(sim, {.one_way_delay = Duration::millis(15)});
   CongestionManager mgr(small_cm(8.0));
   rudp::RudpConfig cfg;
   core::CoordinatorConfig ccfg;
@@ -467,7 +466,7 @@ TEST(CmIntegrationTest, FailureDetachesAndReturnsShare) {
   wire::LossyConfig lcfg;
   lcfg.drop_probability = 1.0;  // dead path: the handshake can never finish
   wire::LossyWirePair dead(sim, lcfg);
-  wire::DirectWirePair live(sim, Duration::millis(15));
+  wire::LossyWirePair live(sim, {.one_way_delay = Duration::millis(15)});
   CongestionManager mgr(small_cm(8.0));
   rudp::RudpConfig cfg;
   cfg.connect_retry = Duration::millis(100);

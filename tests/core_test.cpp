@@ -9,7 +9,6 @@
 #include "iq/core/iq_connection.hpp"
 #include "iq/sim/simulator.hpp"
 #include "iq/wire/lossy_wire.hpp"
-#include "iq/wire/wire.hpp"
 
 namespace iq::core {
 namespace {
@@ -73,7 +72,7 @@ TEST(RescaleFactorTest, Equation1Value) {
 
 struct CorePair {
   sim::Simulator sim;
-  wire::DirectWirePair wires{sim, Duration::millis(15)};
+  wire::LossyWirePair wires{sim, {.one_way_delay = Duration::millis(15)}};
   std::unique_ptr<IqRudpConnection> snd;
   std::unique_ptr<IqRudpConnection> rcv;
 
@@ -281,7 +280,7 @@ TEST(CoordinatorTest, CondDisabledIgnoresCompensation) {
   CoordinatorConfig ccfg;
   ccfg.enable_cond_compensation = false;
   sim::Simulator sim;
-  wire::DirectWirePair wires(sim, Duration::millis(15));
+  wire::LossyWirePair wires(sim, {.one_way_delay = Duration::millis(15)});
   IqRudpConnection snd(wires.a(), cfg, rudp::Role::Client, ccfg);
   IqRudpConnection rcv(wires.b(), cfg, rudp::Role::Server, ccfg);
   rcv.listen();

@@ -10,14 +10,14 @@
 #include "iq/echo/sink.hpp"
 #include "iq/echo/source.hpp"
 #include "iq/sim/simulator.hpp"
-#include "iq/wire/wire.hpp"
+#include "iq/wire/lossy_wire.hpp"
 
 namespace iq::echo {
 namespace {
 
 struct EchoPair {
   sim::Simulator sim;
-  wire::DirectWirePair wires{sim, Duration::millis(15)};
+  wire::LossyWirePair wires{sim, {.one_way_delay = Duration::millis(15)}};
   std::unique_ptr<core::IqRudpConnection> snd;
   std::unique_ptr<core::IqRudpConnection> rcv;
   std::unique_ptr<EventChannel> chan_s;

@@ -13,7 +13,7 @@
 #include "iq/harness/scenarios.hpp"
 #include "iq/rudp/connection.hpp"
 #include "iq/sim/simulator.hpp"
-#include "iq/wire/wire.hpp"
+#include "iq/wire/lossy_wire.hpp"
 #include "iq/workload/mbone_trace.hpp"
 
 namespace iq {
@@ -66,7 +66,7 @@ TEST(TraceIoTest, ExplicitSeriesConstructor) {
 
 TEST(SegmentTapTest, SeesBothDirections) {
   sim::Simulator sim;
-  wire::DirectWirePair wires(sim, Duration::millis(5));
+  wire::LossyWirePair wires(sim, {.one_way_delay = Duration::millis(5)});
   rudp::RudpConnection snd(wires.a(), {}, rudp::Role::Client);
   rudp::RudpConnection rcv(wires.b(), {}, rudp::Role::Server);
 
@@ -94,7 +94,7 @@ TEST(SegmentTapTest, SeesBothDirections) {
 
 TEST(SegmentTapTest, ForeignConnIdNotTapped) {
   sim::Simulator sim;
-  wire::DirectWirePair wires(sim, Duration::millis(5));
+  wire::LossyWirePair wires(sim, {.one_way_delay = Duration::millis(5)});
   rudp::RudpConfig cfg_a;
   cfg_a.conn_id = 1;
   rudp::RudpConfig cfg_b;
@@ -116,7 +116,7 @@ TEST(SegmentTapTest, ForeignConnIdNotTapped) {
 
 TEST(RecvMetricsTest, ReceiverPublishesDeliveryRate) {
   sim::Simulator sim;
-  wire::DirectWirePair wires(sim, Duration::millis(10));
+  wire::LossyWirePair wires(sim, {.one_way_delay = Duration::millis(10)});
   core::IqRudpConnection snd(wires.a(), {}, rudp::Role::Client);
   core::IqRudpConnection rcv(wires.b(), {}, rudp::Role::Server);
   rcv.set_message_handler([](const rudp::DeliveredMessage&) {});

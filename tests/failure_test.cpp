@@ -11,7 +11,6 @@
 #include "iq/rudp/connection.hpp"
 #include "iq/sim/simulator.hpp"
 #include "iq/wire/lossy_wire.hpp"
-#include "iq/wire/wire.hpp"
 
 namespace iq::rudp {
 namespace {

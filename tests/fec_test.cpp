@@ -16,7 +16,6 @@
 #include "iq/rudp/connection.hpp"
 #include "iq/sim/simulator.hpp"
 #include "iq/wire/lossy_wire.hpp"
-#include "iq/wire/wire.hpp"
 
 namespace iq {
 namespace {
@@ -251,7 +250,7 @@ class FilterWire final : public rudp::SegmentWire {
 
 struct FecPair {
   sim::Simulator sim;
-  wire::DirectWirePair wires{sim, Duration::millis(15)};
+  wire::LossyWirePair wires{sim, {.one_way_delay = Duration::millis(15)}};
   FilterWire filter{wires.a()};
   std::unique_ptr<rudp::RudpConnection> snd;
   std::unique_ptr<rudp::RudpConnection> rcv;
@@ -379,7 +378,7 @@ TEST(FecConnectionTest, FecClassIsNeverSkippedOrDiscarded) {
 
 TEST(FecCoordinatorTest, WindowDebitKeepsBitRateShareInvariant) {
   sim::Simulator sim;
-  wire::DirectWirePair wires(sim, Duration::millis(15));
+  wire::LossyWirePair wires(sim, {.one_way_delay = Duration::millis(15)});
   rudp::RudpConfig cfg;
   cfg.initial_cwnd = 32.0;
   rudp::RudpConnection conn(wires.a(), cfg, rudp::Role::Client);
@@ -407,7 +406,7 @@ TEST(FecCoordinatorTest, WindowDebitKeepsBitRateShareInvariant) {
 
 TEST(FecCoordinatorTest, UncoordinatedModeLeavesWindowAlone) {
   sim::Simulator sim;
-  wire::DirectWirePair wires(sim, Duration::millis(15));
+  wire::LossyWirePair wires(sim, {.one_way_delay = Duration::millis(15)});
   rudp::RudpConnection conn(wires.a(), {}, rudp::Role::Client);
   core::CoordinatorConfig ccfg;
   ccfg.mode = core::CoordinationMode::Uncoordinated;
@@ -422,7 +421,7 @@ TEST(FecCoordinatorTest, UncoordinatedModeLeavesWindowAlone) {
 
 TEST(FecFacadeTest, EnableFecPublishesAttributesAndDebitsWindow) {
   sim::Simulator sim;
-  wire::DirectWirePair wires(sim, Duration::millis(15));
+  wire::LossyWirePair wires(sim, {.one_way_delay = Duration::millis(15)});
   rudp::RudpConfig cfg;
   core::IqRudpConnection snd(wires.a(), cfg, rudp::Role::Client);
   core::IqRudpConnection rcv(wires.b(), cfg, rudp::Role::Server);

@@ -162,6 +162,14 @@ TEST(RunExperimentTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.events_executed, b.events_executed);
 }
 
+// The Table-1 golden (perfbench's sim_table1 checks the same count): any
+// change to how the run is built or scheduled moves it.
+TEST(RunExperimentTest, Table1GoldenEventCount) {
+  const ExperimentResult r =
+      run_experiment(scenarios::table1(SchemeSpec::iq_rudp(), true));
+  EXPECT_EQ(r.events_executed, 464832u);
+}
+
 TEST(RunExperimentTest, CrossTrafficCausesLoss) {
   ExperimentConfig cfg = scenarios::base();
   cfg.scheme = SchemeSpec::rudp();

@@ -274,29 +274,6 @@ TEST(NetworkTest, ComputeRoutesForwardsAcrossHops) {
   EXPECT_EQ(r.forwarded(), 1u);
 }
 
-TEST(NetworkTest, TracerCountsPerFlow) {
-  sim::Simulator sim;
-  Network net(sim);
-  CountingTracer tracer;
-  Node& a = net.add_node("a");
-  Node& b = net.add_node("b");
-  net.add_duplex_link(a, b,
-                      {.rate_bps = 10'000'000,
-                       .propagation = Duration::millis(1),
-                       .queue_capacity_bytes = 100'000});
-  net.compute_routes();
-  net.set_tracer(&tracer);
-
-  CountingSink sink;
-  b.bind(7, &sink);
-  a.send(make_test_packet(net, {a.id(), 7}, {b.id(), 7}, 500, /*flow=*/42));
-  a.send(make_test_packet(net, {a.id(), 7}, {b.id(), 7}, 500, /*flow=*/42));
-  sim.run();
-  EXPECT_EQ(tracer.flow(42).transmitted, 2u);
-  EXPECT_EQ(tracer.flow(42).delivered, 2u);
-  EXPECT_EQ(tracer.flow(42).dropped, 0u);
-}
-
 // Hop counts from every node to every other, by BFS over the links'
 // "from->to" names: an oracle that shares nothing with compute_routes().
 // -1 marks an unreachable pair.

@@ -9,34 +9,26 @@
 #include "iq/rudp/connection.hpp"
 #include "iq/sim/simulator.hpp"
 #include "iq/wire/lossy_wire.hpp"
-#include "iq/wire/wire.hpp"
 
 namespace iq::rudp {
 namespace {
 
 struct Pair {
   sim::Simulator sim;
-  std::unique_ptr<wire::DirectWirePair> direct;
-  std::unique_ptr<wire::LossyWirePair> lossy;
+  wire::LossyWirePair wires;
   std::unique_ptr<RudpConnection> sender;
   std::unique_ptr<RudpConnection> receiver;
   std::vector<DeliveredMessage> delivered;
 
   explicit Pair(RudpConfig cfg = {}, RudpConfig rcfg_override = {},
-                bool use_rcfg = false) {
-    direct = std::make_unique<wire::DirectWirePair>(sim, Duration::millis(15));
-    RudpConfig rcfg = use_rcfg ? rcfg_override : cfg;
-    sender = std::make_unique<RudpConnection>(direct->a(), cfg, Role::Client);
-    receiver =
-        std::make_unique<RudpConnection>(direct->b(), rcfg, Role::Server);
-    hook();
-  }
+                bool use_rcfg = false)
+      : Pair(wire::LossyConfig{}, cfg, use_rcfg ? rcfg_override : cfg) {}
 
   explicit Pair(const wire::LossyConfig& lcfg, RudpConfig cfg = {},
-                RudpConfig rcfg = {}) {
-    lossy = std::make_unique<wire::LossyWirePair>(sim, lcfg);
-    sender = std::make_unique<RudpConnection>(lossy->a(), cfg, Role::Client);
-    receiver = std::make_unique<RudpConnection>(lossy->b(), rcfg, Role::Server);
+                RudpConfig rcfg = {})
+      : wires(sim, lcfg) {
+    sender = std::make_unique<RudpConnection>(wires.a(), cfg, Role::Client);
+    receiver = std::make_unique<RudpConnection>(wires.b(), rcfg, Role::Server);
     hook();
   }
 
@@ -257,11 +249,11 @@ TEST(RudpConnectionTest, RtoRecoversFromBlackout) {
   Pair p(lcfg);
   p.run_ms(100);
   ASSERT_TRUE(p.sender->established());
-  p.lossy->set_drop_probability(1.0);
+  p.wires.set_drop_probability(1.0);
   p.sender->send_message({.bytes = 2000});
   p.run_ms(1500);  // several RTOs fire into the void
   EXPECT_GT(p.sender->stats().timeouts, 0u);
-  p.lossy->set_drop_probability(0.0);
+  p.wires.set_drop_probability(0.0);
   p.run_ms(60000);
   ASSERT_EQ(p.delivered.size(), 1u);
 }

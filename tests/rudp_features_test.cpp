@@ -10,33 +10,23 @@
 #include "iq/rudp/connection.hpp"
 #include "iq/sim/simulator.hpp"
 #include "iq/wire/lossy_wire.hpp"
-#include "iq/wire/wire.hpp"
 
 namespace iq::rudp {
 namespace {
 
 struct FeaturePair {
   sim::Simulator sim;
-  std::unique_ptr<wire::DirectWirePair> direct;
-  std::unique_ptr<wire::LossyWirePair> lossy;
+  wire::LossyWirePair wires;
   std::unique_ptr<RudpConnection> sender;
   std::unique_ptr<RudpConnection> receiver;
   std::vector<DeliveredMessage> delivered;
 
-  FeaturePair(RudpConfig scfg, RudpConfig rcfg) {
-    direct = std::make_unique<wire::DirectWirePair>(sim, Duration::millis(15));
-    init(direct->a(), direct->b(), scfg, rcfg);
-  }
-  FeaturePair(const wire::LossyConfig& lcfg, RudpConfig scfg,
-              RudpConfig rcfg) {
-    lossy = std::make_unique<wire::LossyWirePair>(sim, lcfg);
-    init(lossy->a(), lossy->b(), scfg, rcfg);
-  }
-
-  void init(SegmentWire& a, SegmentWire& b, RudpConfig scfg,
-            RudpConfig rcfg) {
-    sender = std::make_unique<RudpConnection>(a, scfg, Role::Client);
-    receiver = std::make_unique<RudpConnection>(b, rcfg, Role::Server);
+  FeaturePair(RudpConfig scfg, RudpConfig rcfg)
+      : FeaturePair(wire::LossyConfig{}, scfg, rcfg) {}
+  FeaturePair(const wire::LossyConfig& lcfg, RudpConfig scfg, RudpConfig rcfg)
+      : wires(sim, lcfg) {
+    sender = std::make_unique<RudpConnection>(wires.a(), scfg, Role::Client);
+    receiver = std::make_unique<RudpConnection>(wires.b(), rcfg, Role::Server);
     receiver->set_message_handler(
         [this](const DeliveredMessage& m) { delivered.push_back(m); });
     receiver->listen();

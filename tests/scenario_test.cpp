@@ -112,6 +112,8 @@ TEST(ScenarioTest, CellularTerminalFailureReconnectsAndResumes) {
   EXPECT_TRUE(r.crc_ok);
   EXPECT_TRUE(r.critical_complete);
   EXPECT_TRUE(r.audits_clean);
+  // Golden: this run reconnects, so it pins how a fresh generation is built.
+  EXPECT_EQ(r.events_executed, 96248u);
 }
 
 TEST(ScenarioTest, IncastFanInCompletesAllSenders) {

@@ -1,6 +1,6 @@
-// Tests for the wire layer itself: DirectWirePair delay semantics,
-// LossyWirePair drop/duplicate/reorder statistics and determinism, and
-// SimWire binding on the simulated network.
+// Tests for the wire layer itself: LossyWirePair delay semantics,
+// drop/duplicate/reorder statistics and determinism, and SimWire binding on
+// the simulated network.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "iq/sim/simulator.hpp"
 #include "iq/wire/lossy_wire.hpp"
 #include "iq/wire/sim_wire.hpp"
-#include "iq/wire/wire.hpp"
 
 namespace iq::wire {
 namespace {
@@ -24,9 +23,9 @@ rudp::Segment data_seg(rudp::WireSeq seq) {
   return s;
 }
 
-TEST(DirectWireTest, DeliversAfterExactDelay) {
+TEST(LossyWireTest, DeliversAfterExactDelay) {
   sim::Simulator sim;
-  DirectWirePair pair(sim, Duration::millis(15));
+  LossyWirePair pair(sim, {.one_way_delay = Duration::millis(15)});
   std::vector<std::int64_t> arrivals;
   pair.b().set_receiver([&](const rudp::Segment&) {
     arrivals.push_back(sim.now().ns());
@@ -37,12 +36,12 @@ TEST(DirectWireTest, DeliversAfterExactDelay) {
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0], Duration::millis(15).ns());
   EXPECT_EQ(arrivals[1], Duration::millis(20).ns());
-  EXPECT_EQ(pair.segments_carried(), 2u);
+  EXPECT_EQ(pair.carried(), 2u);
 }
 
-TEST(DirectWireTest, BothDirectionsIndependent) {
+TEST(LossyWireTest, BothDirectionsIndependent) {
   sim::Simulator sim;
-  DirectWirePair pair(sim, Duration::millis(1));
+  LossyWirePair pair(sim, {.one_way_delay = Duration::millis(1)});
   int at_a = 0, at_b = 0;
   pair.a().set_receiver([&](const rudp::Segment&) { ++at_a; });
   pair.b().set_receiver([&](const rudp::Segment&) { ++at_b; });
