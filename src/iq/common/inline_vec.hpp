@@ -3,10 +3,11 @@
 //
 // InlineVec<T, N> stores up to N elements in-place and spills to the heap
 // only beyond that. The RUDP hot path keeps short, bounded lists per
-// segment — eacks capped by max_eacks_per_ack, skip batches, FEC group
-// members, one or two attributes — so with N sized to the protocol caps a
-// segment (and every copy of it made by the sim wires and object pools)
-// never touches the heap at steady state.
+// segment — eacks capped by max_eacks_per_ack, skip batches, one or two
+// attributes — so with N sized to the protocol caps a segment (and every
+// copy of it made by the sim wires and object pools) never touches the heap
+// at steady state. A list that only a rare segment type fills (PARITY's
+// members) is a std::vector instead: inline, every segment would carry it.
 //
 // Deliberate differences from std::vector:
 //  - capacity never shrinks, and a moved-from InlineVec is empty();

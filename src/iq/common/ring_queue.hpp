@@ -1,5 +1,5 @@
 #pragma once
-// Ring-buffer FIFO for the connection's pending-segment queue and the
+// Ring-buffer FIFO for the connection's pending-message queue and the
 // simulated links' drop-tail queues.
 //
 // std::deque allocates and frees a ~512-byte chunk roughly every

@@ -27,6 +27,7 @@ std::optional<rudp::Segment> FecEncoder::add(const rudp::Segment& data) {
     lane.group_id = next_group_++;
     lane.target = std::max<std::uint16_t>(1, cfg_.group_size);
     lane.parity_bytes = 0;
+    lane.members.reserve(lane.target);  // the PARITY's one allocation
   }
   rudp::FecMember m;
   m.seq = data.seq;

@@ -60,7 +60,9 @@ class FecEncoder {
   struct Lane {
     std::uint32_t group_id = 0;
     std::uint16_t target = 0;  ///< group size captured when the group opened
-    rudp::FecMemberList members;  ///< moves straight into Segment::fec_members
+    /// Moves straight into Segment::fec_members when the group closes, so
+    /// an idle lane holds no capacity; reserved to `target` on opening.
+    rudp::FecMemberList members;
     std::int32_t parity_bytes = 0;  ///< max member payload so far
   };
 

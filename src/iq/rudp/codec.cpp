@@ -219,6 +219,8 @@ std::optional<SegmentView> decode_segment_view(BytesView datagram,
       if (!group || !len || !n) return fail(DecodeStatus::Malformed, status);
       seg.fec_group = *group;
       seg.payload_bytes = static_cast<std::int32_t>(*len);
+      // No reserve(*n): the count is the peer's claim, not a fact. Growth
+      // stays bounded by the member records the datagram actually holds.
       for (std::uint16_t i = 0; i < *n; ++i) {
         FecMember m;
         auto s = r.u32();

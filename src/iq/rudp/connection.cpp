@@ -1,6 +1,7 @@
 #include "iq/rudp/connection.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "iq/common/check.hpp"
 #include "iq/common/log.hpp"
@@ -220,6 +221,12 @@ void RudpConnection::become_established() {
 RudpConnection::SendResult RudpConnection::send_message(
     const MessageSpec& spec) {
   IQ_CHECK_MSG(spec.bytes >= 0, "negative message size");
+  // Fragment indices and counts are 16-bit on the wire.
+  const std::int64_t mss = cfg_.max_segment_payload;
+  const std::int64_t frag_count =
+      spec.bytes == 0 ? 1 : (spec.bytes - 1) / mss + 1;
+  IQ_CHECK_MSG(frag_count <= std::numeric_limits<std::uint16_t>::max(),
+               "message needs more than 65535 fragments");
   const std::uint32_t msg_id = next_msg_id_++;
   ++stats_.messages_offered;
   budget_.on_message_offered();
@@ -236,24 +243,18 @@ RudpConnection::SendResult RudpConnection::send_message(
     return SendResult{msg_id, /*discarded=*/true};
   }
 
-  const std::int64_t mss = cfg_.max_segment_payload;
-  const auto frag_count = static_cast<std::uint16_t>(
-      std::max<std::int64_t>(1, (spec.bytes + mss - 1) / mss));
-  std::int64_t remaining = spec.bytes;
-  for (std::uint16_t i = 0; i < frag_count; ++i) {
-    PendingSegment p;
-    p.msg_id = msg_id;
-    p.frag_index = i;
-    p.frag_count = frag_count;
-    p.payload_bytes = static_cast<std::int32_t>(std::min(remaining, mss));
-    p.marked = spec.marked;
-    p.fec = spec.fec;
-    if (i == 0) p.attrs = spec.attrs;
-    remaining -= p.payload_bytes;
-    pending_.push_back(std::move(p));
-  }
+  PendingMessage m;
+  m.msg_id = msg_id;
+  m.frag_count = static_cast<std::uint16_t>(frag_count);
+  m.bytes = spec.bytes;
+  m.marked = spec.marked;
+  m.fec = spec.fec;
+  m.attrs = spec.attrs;
+  pending_.push_back(std::move(m));
+  pending_segments_ += static_cast<std::size_t>(frag_count);
   ++stats_.messages_enqueued;
-  audit_emit(audit::EventType::MsgEnqueued, msg_id, frag_count,
+  audit_emit(audit::EventType::MsgEnqueued, msg_id,
+             static_cast<std::uint64_t>(frag_count),
              static_cast<std::uint64_t>(spec.bytes));
   shed_pending();
   pump();
@@ -267,18 +268,18 @@ void RudpConnection::set_max_pending_segments(std::size_t limit) {
 
 void RudpConnection::shed_pending() {
   if (cfg_.max_pending_segments == 0) return;
-  while (pending_.size() > cfg_.max_pending_segments) {
+  while (pending_segments_ > cfg_.max_pending_segments) {
     // Only whole messages still entirely unsent may be shed: a message with
     // fragments already on the wire must keep its tail or the receiver's
-    // reassembly wedges. pump() consumes in order, so any partially-sent
-    // message is a frag_index>0 run at the front; the first frag_index==0
-    // starts the oldest evictable message.
-    std::size_t j = 0;
-    while (j < pending_.size() && pending_[j].frag_index != 0) ++j;
+    // reassembly wedges. pump() consumes in order, so only the front entry
+    // can be partly sent; the oldest evictable message is the front one if
+    // none of it has left yet, else the one behind it.
+    const std::size_t j = pending_.front().next_frag > 0 ? 1 : 0;
     if (j >= pending_.size()) return;  // nothing evictable
-    const auto n = static_cast<std::size_t>(pending_[j].frag_count);
+    const std::uint16_t n = pending_[j].frag_count;
     audit_emit(audit::EventType::MsgShed, pending_[j].msg_id, n);
-    pending_.erase(j, n);
+    pending_segments_ -= n;
+    pending_.erase(j, 1);
     ++stats_.messages_shed;
   }
 }
@@ -302,26 +303,29 @@ void RudpConnection::pump() {
       window_limited_ = true;
       return;
     }
-    PendingSegment p = std::move(pending_.front());
-    pending_.pop_front();
-
+    PendingMessage& m = pending_.front();
+    const std::int64_t mss = cfg_.max_segment_payload;
     Outstanding o;
     o.seq = next_seq_++;
-    o.msg_id = p.msg_id;
-    o.frag_index = p.frag_index;
-    o.frag_count = p.frag_count;
-    o.payload_bytes = p.payload_bytes;
-    o.marked = p.marked;
-    o.fec = p.fec;
-    o.attrs = std::move(p.attrs);
+    o.msg_id = m.msg_id;
+    o.frag_index = m.next_frag;
+    o.frag_count = m.frag_count;
+    o.payload_bytes = static_cast<std::int32_t>(
+        std::min(mss, m.bytes - std::int64_t{m.next_frag} * mss));
+    o.marked = m.marked;
+    o.fec = m.fec;
+    if (m.next_frag == 0) o.attrs = std::move(m.attrs);
     o.first_sent = wire_.executor().now();
     o.last_sent = o.first_sent;
-    send_buf_.add(o);
-    audit_emit(audit::EventType::SegSent, o.seq, o.msg_id,
-               static_cast<std::uint64_t>(o.payload_bytes), 0, 0, 0.0, 0.0,
-               static_cast<std::uint8_t>((o.marked ? 1 : 0) |
-                                         (o.fec ? 2 : 0)));
-    transmit(*send_buf_.find(o.seq), /*retransmission=*/false);
+    --pending_segments_;
+    if (++m.next_frag == m.frag_count) pending_.pop_front();
+
+    Outstanding& sent = send_buf_.add(std::move(o));
+    audit_emit(audit::EventType::SegSent, sent.seq, sent.msg_id,
+               static_cast<std::uint64_t>(sent.payload_bytes), 0, 0, 0.0, 0.0,
+               static_cast<std::uint8_t>((sent.marked ? 1 : 0) |
+                                         (sent.fec ? 2 : 0)));
+    transmit(sent, /*retransmission=*/false);
   }
 }
 

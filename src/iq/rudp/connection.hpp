@@ -180,7 +180,8 @@ class RudpConnection {
   /// within the receiver's loss tolerance.
   SendResult send_message(const MessageSpec& spec);
 
-  std::size_t queued_segments() const { return pending_.size(); }
+  /// Queued-but-unsent fragments (the unit of max_pending_segments).
+  std::size_t queued_segments() const { return pending_segments_; }
   bool send_idle() const {
     return pending_.empty() && send_buf_.empty() && skip_outstanding_.empty();
   }
@@ -274,14 +275,16 @@ class RudpConnection {
   sim::Executor& executor() { return wire_.executor(); }
 
  private:
-  struct PendingSegment {
-    std::uint32_t msg_id;
-    std::uint16_t frag_index;
-    std::uint16_t frag_count;
-    std::int32_t payload_bytes;
-    bool marked;
-    bool fec;
-    attr::AttrList attrs;  ///< only on frag 0
+  /// One queued message; pump() cuts its fragments off the front entry,
+  /// so only that entry can be partly sent (next_frag > 0).
+  struct PendingMessage {
+    std::uint32_t msg_id = 0;
+    std::uint16_t frag_count = 1;
+    std::uint16_t next_frag = 0;  ///< first fragment not yet sent
+    std::int64_t bytes = 0;
+    bool marked = true;
+    bool fec = false;
+    attr::AttrList attrs;  ///< moves onto fragment 0
   };
 
   // Inbound dispatch.
@@ -367,10 +370,13 @@ class RudpConnection {
   fec::FecEncoder fec_enc_;
   fec::FecDecoder fec_dec_;
 
-  /// Unsent fragment queue. A ring buffer, not a deque: deques allocate a
-  /// chunk per chunk-worth of push/pop traffic, which would break the
-  /// zero-allocation steady state of the segment path.
-  iq::RingQueue<PendingSegment> pending_;
+  /// Unsent message queue: the message is the unit of adaptation (§3.3
+  /// discards whole messages), so it is the unit queued. A ring buffer, not
+  /// a deque: deques allocate a chunk per chunk-worth of push/pop traffic,
+  /// which would break the zero-allocation steady state of the segment path.
+  iq::RingQueue<PendingMessage> pending_;
+  /// Unsent fragments across pending_, the unit the backlog bounds count.
+  std::size_t pending_segments_ = 0;
   /// Skips announced via ADVANCE but not yet covered by the peer's
   /// cumulative ack; ADVANCE itself can be lost, so these are
   /// re-advertised until acknowledged (keyed by unwrapped seq).

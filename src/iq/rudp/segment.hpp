@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "iq/attr/list.hpp"
 #include "iq/common/inline_vec.hpp"
@@ -73,11 +74,14 @@ struct FecMember {
 // are sized to the protocol's steady-state caps so segment copies through
 // the sim wires and object pools never allocate: eacks spill only past 16
 // out-of-order holes per ack (connections that must never spill set
-// max_eacks_per_ack accordingly), skip batches past 8 abandoned sequences,
-// FEC descriptors past 4 group members.
+// max_eacks_per_ack accordingly), skip batches past 8 abandoned sequences.
 using EackList = iq::InlineVec<WireSeq, 16>;
 using SkippedList = iq::InlineVec<SkippedSeq, 8>;
-using FecMemberList = iq::InlineVec<FecMember, 4>;
+// PARITY's member list lives out of line: only PARITY segments fill it, and
+// inline it would make every segment (every simulated packet body, every
+// pooled block) pay for FecMembers it never holds. A PARITY allocates its
+// list once; the encoder reserves the group size when a group opens.
+using FecMemberList = std::vector<FecMember>;
 
 struct Segment : net::PacketBody {
   SegmentType type = SegmentType::Data;

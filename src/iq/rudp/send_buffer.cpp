@@ -6,9 +6,10 @@
 
 namespace iq::rudp {
 
-void SendBuffer::add(Outstanding o) {
+Outstanding& SendBuffer::add(Outstanding o) {
   auto [it, inserted] = segments_.insert_or_assign(o.seq, std::move(o));
   if (inserted) ++inflight_;
+  return it->second;
 }
 
 SendBuffer::AckOutcome SendBuffer::on_ack(Seq cum_ack,

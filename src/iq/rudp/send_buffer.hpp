@@ -39,8 +39,8 @@ struct Outstanding {
 class SendBuffer {
  public:
   /// Record a (re)transmitted segment; seq must exceed all current entries
-  /// on first add.
-  void add(Outstanding o);
+  /// on first add. Returns the stored record.
+  Outstanding& add(Outstanding o);
 
   struct AckOutcome {
     int newly_acked = 0;                ///< segments first evidenced received

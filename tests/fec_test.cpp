@@ -298,6 +298,38 @@ TEST(FecConnectionTest, RecoversLostSegmentWithoutRetransmission) {
   EXPECT_EQ(p.snd->stats().segments_retransmitted, 0u);
 }
 
+TEST(FecConnectionTest, RecoveredFirstFragmentKeepsItsAttrs) {
+  rudp::RudpConfig cfg;
+  cfg.fec_group_size = 8;   // more members than any inline list held
+  cfg.initial_cwnd = 16.0;  // whole burst in flight: the group fills
+  FecPair p(cfg);
+  p.run_ms(100);
+
+  // Three 3-fragment messages: the first group covers seqs 1–8. Lose the
+  // first transmission of message 2's fragment 0, the one carrying its
+  // attrs; only the PARITY's member descriptor can bring them back.
+  p.filter.drop = [&p](const Segment& s) {
+    return p.filter.dropped == 0 && s.type == SegmentType::Data &&
+           s.msg_id == 2 && s.frag_index == 0;
+  };
+  for (std::int64_t frame = 1; frame <= 3; ++frame) {
+    rudp::MessageSpec spec{.bytes = 3500, .fec = true};
+    spec.attrs.set("frame", frame);
+    p.snd->send_message(spec);
+  }
+  p.run_ms(3000);
+
+  EXPECT_EQ(p.filter.dropped, 1);
+  ASSERT_EQ(p.delivered.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(p.delivered[i].bytes, 3500);
+    EXPECT_EQ(p.delivered[i].attrs.get_int("frame"),
+              static_cast<std::int64_t>(i + 1));
+  }
+  EXPECT_EQ(p.rcv->stats().segments_recovered, 1u);
+  EXPECT_EQ(p.snd->stats().segments_retransmitted, 0u);
+}
+
 TEST(FecConnectionTest, PartialGroupIsFlushedAndProtects) {
   rudp::RudpConfig cfg;
   cfg.fec_group_size = 8;  // more than we send: only the flush closes it

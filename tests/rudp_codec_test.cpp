@@ -175,6 +175,29 @@ TEST(CodecTest, ParityRejectsEveryTruncation) {
   }
 }
 
+TEST(CodecTest, ParityRejectsInflatedMemberCount) {
+  // The member count is the peer's claim: a sealed datagram that claims
+  // 65535 members but holds two is malformed, not a 65535-slot list.
+  Bytes wire = encode_segment(parity_segment());
+  constexpr std::size_t kCountOffset = 48;  // fixed header, group, length
+  ASSERT_EQ(wire[kCountOffset], 0);
+  ASSERT_EQ(wire[kCountOffset + 1], 2);
+  wire[kCountOffset] = 0xFF;
+  wire[kCountOffset + 1] = 0xFF;
+  seal_segment(wire);
+  DecodeStatus status = DecodeStatus::Ok;
+  EXPECT_FALSE(decode_segment(wire, &status).has_value());
+  EXPECT_EQ(status, DecodeStatus::Malformed);
+}
+
+// Layout pin. Every simulated packet body is a Segment, and each per-wire
+// segment pool keeps its high-water mark of blocks for the whole run, so
+// this size multiplies into a many-flow run's resident memory. Lists that
+// only a rare segment type fills (PARITY's members) stay out of line.
+TEST(CodecTest, SegmentStaysSmall) {
+  EXPECT_LE(sizeof(Segment), 512u);
+}
+
 TEST(CodecTest, RejectsBadMagic) {
   Bytes wire = encode_segment(data_segment());
   wire[0] ^= 0xff;

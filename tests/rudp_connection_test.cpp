@@ -342,5 +342,65 @@ TEST(RudpConnectionTest, StatsConsistency) {
   EXPECT_EQ(p.delivered.size(), 50u);
 }
 
+// ------------------------------------------------------------ send queue --
+
+// The queue holds one entry per message, but queued_segments() and the
+// backpressure bound count fragments. Nothing is pumped before the
+// handshake completes, so every fragment offered in SynSent is still queued.
+TEST(RudpConnectionTest, QueuedSegmentsCountsFragmentsNotMessages) {
+  Pair p;
+  ASSERT_EQ(p.sender->state(), ConnState::SynSent);
+  for (int i = 0; i < 3; ++i) p.sender->send_message({.bytes = 3500});
+  EXPECT_EQ(p.sender->queued_segments(), 9u);
+  p.sender->send_message({.bytes = 0});
+  EXPECT_EQ(p.sender->queued_segments(), 10u);
+
+  // Shedding the oldest whole message frees all three of its fragments.
+  p.sender->set_max_pending_segments(9);
+  EXPECT_EQ(p.sender->queued_segments(), 7u);
+  EXPECT_EQ(p.sender->stats().messages_shed, 1u);
+
+  // The survivors leave as MSS-sized fragments, in sequence and in order.
+  std::vector<Segment> sent;
+  p.sender->set_segment_tap([&](RudpConnection::TapDirection dir,
+                                const Segment& s) {
+    if (dir == RudpConnection::TapDirection::Out &&
+        s.type == SegmentType::Data) {
+      sent.push_back(s);
+    }
+  });
+  p.run_ms(2000);
+  const std::vector<std::pair<std::uint32_t, std::int32_t>> want = {
+      {2, 1400}, {2, 1400}, {2, 700}, {3, 1400}, {3, 1400}, {3, 700},
+      {4, 0}};
+  ASSERT_EQ(sent.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(sent[i].seq, i + 1);
+    EXPECT_EQ(sent[i].msg_id, want[i].first);
+    EXPECT_EQ(sent[i].payload_bytes, want[i].second);
+    EXPECT_EQ(sent[i].frag_index, i < 6 ? i % 3 : 0);
+  }
+  ASSERT_EQ(p.delivered.size(), 3u);
+  EXPECT_EQ(p.delivered[0].bytes, 3500);
+  EXPECT_EQ(p.delivered[1].bytes, 3500);
+  EXPECT_EQ(p.delivered[2].bytes, 0);
+  EXPECT_EQ(p.sender->queued_segments(), 0u);
+}
+
+// Fragment indices and counts are 16-bit on the wire: a message that needs
+// more fragments is an API error, rejected like a negative size instead of
+// being truncated or queued as nothing.
+TEST(RudpConnectionDeathTest, MessageBeyond65535FragmentsIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::int64_t mss = RudpConfig{}.max_segment_payload;
+  Pair p;
+  p.sender->send_message({.bytes = 65535 * mss});
+  EXPECT_EQ(p.sender->queued_segments(), 65535u);
+  EXPECT_DEATH(p.sender->send_message({.bytes = 65535 * mss + 1}),
+               "more than 65535 fragments");
+  EXPECT_DEATH(p.sender->send_message({.bytes = 65537 * mss}),
+               "more than 65535 fragments");
+}
+
 }  // namespace
 }  // namespace iq::rudp

@@ -3,8 +3,11 @@
 // touching the global heap — InlineVec keeps protocol lists inline,
 // PooledMap/ObjectPool recycle nodes and segment bodies, the scheduler's
 // InlineFn keeps callbacks in its inline buffer, the wire pipe shares
-// immutable pooled segment bodies, and link queues are rings. A regression
-// in any of those layers shows up here as a nonzero allocation delta.
+// immutable pooled segment bodies, and link and send queues are rings. The
+// Dumbbell pin also runs the message shape echo and CityScale send: several
+// fragments cut in place off the send queue's front message, with in-band
+// attrs that move onto fragment 0. A regression in any of those layers
+// shows up here as a nonzero allocation delta.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 // operator-new is counted (see bench_util.hpp).
 #define IQ_COUNT_ALLOCS
 #include "../bench/bench_util.hpp"
+#include "iq/attr/names.hpp"
 #include "iq/cm/manager.hpp"
 #include "iq/net/dumbbell.hpp"
 #include "iq/rudp/connection.hpp"
@@ -89,7 +93,7 @@ struct Transfer {
 // one does. Closed loop: every delivery submits the next message, so the
 // sender always holds kBacklog undelivered messages, more than the path's
 // bandwidth-delay product plus the bottleneck queue: the queue stays
-// occupied and overflows now and then.
+// occupied and overflows now and then. Every message is `spec`.
 struct DumbbellTransfer {
   static constexpr int kBacklog = 64;
   static constexpr std::uint16_t kPort = 10;
@@ -103,6 +107,7 @@ struct DumbbellTransfer {
                          {db.left(0).id(), kPort}, 1};
   RudpConnection sender{snd_wire, Transfer::rudp_config(), Role::Client};
   RudpConnection receiver{rcv_wire, Transfer::rudp_config(), Role::Server};
+  MessageSpec spec;
   std::uint64_t delivered = 0;
 
   static net::DumbbellConfig dumbbell_config() {
@@ -115,9 +120,9 @@ struct DumbbellTransfer {
     return c;
   }
 
-  void submit() { sender.send_message({.bytes = 1000, .marked = true}); }
+  void submit() { sender.send_message(spec); }
 
-  DumbbellTransfer() {
+  explicit DumbbellTransfer(MessageSpec s) : spec(std::move(s)) {
     receiver.set_message_handler([this](const DeliveredMessage&) {
       ++delivered;
       submit();
@@ -128,12 +133,12 @@ struct DumbbellTransfer {
   }
 };
 
-TEST(ZeroAllocTest, SteadyStateTransferAcrossDumbbellDoesNotAllocate) {
-  if (std::getenv("IQ_AUDIT") != nullptr) {
-    GTEST_SKIP() << "IQ_AUDIT arms the flight recorder; its bookkeeping "
-                    "allocates by design";
-  }
-  DumbbellTransfer t;
+/// Warm the Dumbbell transfer up, then count the allocations of a 20-s
+/// measured phase. The delivery floors depend on the message size.
+void expect_dumbbell_steady_state_alloc_free(MessageSpec spec,
+                                             std::uint64_t warmup_floor,
+                                             std::uint64_t measured_floor) {
+  DumbbellTransfer t(std::move(spec));
   net::Link& bottleneck = t.db.bottleneck();
 
   // Warmup, as in the pins above: a blackout forces a worst-case repair
@@ -143,7 +148,7 @@ TEST(ZeroAllocTest, SteadyStateTransferAcrossDumbbellDoesNotAllocate) {
   t.sim.after(Duration::millis(3000), [&] { bottleneck.set_blackout(false); });
   t.sim.run_until(TimePoint::zero() + Duration::seconds(40));
   ASSERT_TRUE(t.sender.established());
-  ASSERT_GT(t.delivered, 5000u);
+  ASSERT_GT(t.delivered, warmup_floor);
 
   const std::uint64_t delivered0 = t.delivered;
   const std::uint64_t transmitted0 = bottleneck.transmitted();
@@ -154,7 +159,7 @@ TEST(ZeroAllocTest, SteadyStateTransferAcrossDumbbellDoesNotAllocate) {
   const std::uint64_t allocs = iq::bench::alloc_count() - before;
 
   const std::uint64_t transmitted = bottleneck.transmitted() - transmitted0;
-  EXPECT_GT(t.delivered - delivered0, 4000u);
+  EXPECT_GT(t.delivered - delivered0, measured_floor);
   // Nearly every segment waited in the bottleneck queue, the queue filled
   // up, and the random drop path ran.
   EXPECT_GT(bottleneck.queue().enqueued() - queued0, transmitted * 9 / 10);
@@ -162,6 +167,31 @@ TEST(ZeroAllocTest, SteadyStateTransferAcrossDumbbellDoesNotAllocate) {
   EXPECT_GT(bottleneck.random_drops() - drops0, 10u);
   EXPECT_EQ(allocs, 0u) << "steady state across the dumbbell touched the "
                         << "heap " << allocs << " times";
+}
+
+TEST(ZeroAllocTest, SteadyStateTransferAcrossDumbbellDoesNotAllocate) {
+  if (std::getenv("IQ_AUDIT") != nullptr) {
+    GTEST_SKIP() << "IQ_AUDIT arms the flight recorder; its bookkeeping "
+                    "allocates by design";
+  }
+  expect_dumbbell_steady_state_alloc_free({.bytes = 1000, .marked = true},
+                                          5000, 4000);
+}
+
+// 3500-B messages are three fragments (1400 + 1400 + 700), so the front of
+// the send queue is partly consumed most of the time, and each message's
+// attrs move onto its fragment 0 and ride the DATA segment in band.
+TEST(ZeroAllocTest, SteadyStateFragmentedMessagesWithAttrsDoNotAllocate) {
+  if (std::getenv("IQ_AUDIT") != nullptr) {
+    GTEST_SKIP() << "IQ_AUDIT arms the flight recorder; its bookkeeping "
+                    "allocates by design";
+  }
+  MessageSpec spec{.bytes = 3500, .marked = true};
+  spec.attrs.set(attr::kMsgMarked, true);
+  spec.attrs.set("frame", std::int64_t{7});
+  // The floors sit below what this deterministic run reads: 1964 messages
+  // delivered in warmup, 1222 (with 37 random drops) in the measured phase.
+  expect_dumbbell_steady_state_alloc_free(std::move(spec), 1500, 1000);
 }
 
 TEST(ZeroAllocTest, SteadyStateLossyTransferDoesNotAllocate) {
