@@ -3,8 +3,9 @@
 //
 // Two UdpWire endpoints on loopback inside one epoll loop. Three sections:
 //   - blast: bursts of encoded DATA segments through sendmmsg, drained by
-//     recvmmsg on the peer — wire-level packets/second and the delivered
-//     ratio (the kernel may shed under overload; the wire may not);
+//     recvmmsg on the peer — wire-level packets/second, the delivered
+//     ratio (the kernel may shed under overload; the wire may not) and the
+//     sendmmsg messages the blast took (with UDP GSO, one per full batch);
 //   - echo: sequential ping/pong through the full encode → sendmmsg →
 //     epoll → recvmmsg → in-place-decode path, RTT percentiles — the
 //     latency cost of one event-loop round trip (timeouts retransmit, so
@@ -14,10 +15,11 @@
 //     zero heap traffic at steady state.
 //
 // Deterministic invariants (exact counts, zero allocs, full echo replies,
-// forced batch width) are gated by scripts/perf_compare.py against the
-// committed BENCH_WIRE.json; throughput and RTT swing with the machine —
-// single-CPU CI containers run both endpoints on one core — so they only
-// warn (PERFORMANCE.md discusses the caveat).
+// forced batch width, one message per batch when GSO is on) are gated by
+// scripts/perf_compare.py against the committed BENCH_WIRE.json;
+// throughput and RTT swing with the machine and its load — both endpoints
+// run in this one process — so they only warn (PERFORMANCE.md discusses
+// the caveat).
 //
 // Usage: bench_wire [output.json]   (default BENCH_WIRE.json in the CWD)
 
@@ -109,15 +111,18 @@ struct BlastResult {
   double pps = 0.0;
   double delivered_ratio = 0.0;
   std::uint64_t received = 0;
+  std::uint64_t send_messages = 0;
 };
 
 BlastResult bench_blast(Harness& h) {
   const std::uint64_t recv0 = h.b_received;
+  const std::uint64_t msgs0 = h.a.stats().send_messages;
   const double t0 = now_s();
   h.blast(kBlastCount);
   const double secs = now_s() - t0;
   BlastResult out;
   out.received = h.b_received - recv0;
+  out.send_messages = h.a.stats().send_messages - msgs0;
   out.pps = secs > 0.0 ? static_cast<double>(kBlastCount) / secs : 0.0;
   out.delivered_ratio =
       static_cast<double>(out.received) / static_cast<double>(kBlastCount);
@@ -186,6 +191,10 @@ int main(int argc, char** argv) {
               blast.pps / 1e3, blast.delivered_ratio,
               static_cast<unsigned long long>(blast.received),
               static_cast<unsigned long long>(kBlastCount));
+  std::printf("  offload:      gso %s, gro %s; blast took %llu messages\n",
+              h.a.offload().gso ? "on" : "off",
+              h.b.offload().gro ? "on" : "off",
+              static_cast<unsigned long long>(blast.send_messages));
 
   const EchoResult echo = bench_echo(h);
   std::printf("  echo rtt:     p50 %.1f us, p99 %.1f us (%llu replies)\n",
@@ -214,6 +223,9 @@ int main(int argc, char** argv) {
       .field("wire_blast_received", blast.received)
       .field("wire_blast_delivered_ratio", blast.delivered_ratio)
       .field("wire_blast_pps", blast.pps)
+      .field("wire_blast_send_messages", blast.send_messages)
+      .field("wire_gso", h.a.offload().gso)
+      .field("wire_gro", h.b.offload().gro)
       .field("wire_echo_rtt_us_p50", echo.rtt_us_p50)
       .field("wire_echo_rtt_us_p99", echo.rtt_us_p99)
       .field("wire_ping_count", kPingCount)

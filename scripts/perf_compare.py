@@ -64,6 +64,7 @@ EXACT_KEYS = {
     "wire_blast_count",
     "wire_blast_received",
     "wire_blast_delivered_ratio",
+    "wire_blast_send_messages",
     "wire_ping_count",
     "wire_ping_replies",
     "wire_max_send_batch",
@@ -116,12 +117,20 @@ SCN_CRITICAL_DEADLINE_FLOORS = {
 }
 
 # Real-socket wire bench (wire_* keys, BENCH_WIRE.json): packets/second and
-# RTT swing with the machine (single-CPU containers run both endpoints on
-# one core) and only warn, but the fresh run is gated absolutely on the
+# RTT swing with the machine (both endpoints share one process and the
+# host's cores) and only warn, but the fresh run is gated absolutely on the
 # fast path's invariants — zero steady-state allocations, zero decode
 # failures on loopback, a reply for every ping, batching actually engaged,
 # and a sane delivered ratio under the blast.
 WIRE_DELIVERED_FLOOR = 0.75
+
+# UDP GSO in the wire bench's blast: every segment is the same size and
+# the sender flushes in full batches of this width, so when the fresh run's
+# sender had UDP_SEGMENT accepted (wire_gso) each batch must leave as one
+# sendmmsg message: exactly wire_blast_count / 32 = 3125. A host whose
+# kernel refused the option sends one message per datagram and is not
+# gated, the way the pclmul floor applies only when pclmul was picked.
+WIRE_BLAST_BATCH = 32
 
 
 def main() -> int:
@@ -259,6 +268,15 @@ def main() -> int:
             " never drained more than one datagram per syscall — receive"
             " batching is not engaging"
         )
+    if fresh.get("wire_gso") is True:
+        expected = fresh.get("wire_blast_count", 0) // WIRE_BLAST_BATCH
+        got = fresh.get("wire_blast_send_messages")
+        if got != expected:
+            failures.append(
+                f"wire_blast_send_messages = {got}, expected {expected}:"
+                " GSO was accepted but the blast's equal-size batches did"
+                " not each leave as one sendmmsg message"
+            )
     if (
         "wire_blast_delivered_ratio" in fresh
         and fresh["wire_blast_delivered_ratio"] < WIRE_DELIVERED_FLOOR

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/udp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/timerfd.h>
@@ -22,6 +23,17 @@ namespace iq::wire {
 namespace {
 
 constexpr int kMaxEpollEvents = 64;
+
+/// Receive memory per unit of UdpWireConfig::batch: the 9216-B slot each
+/// batched datagram had before GRO. The 64-KiB slots come out of the same
+/// budget, so GRO adds no receive memory.
+constexpr std::size_t kRecvBytesPerBatch = 9216;
+/// Largest UDP datagram and largest GRO buffer: no slot can truncate.
+constexpr std::size_t kRecvSlotBytes = 64 * 1024;
+/// Limits on one GSO send: the kernel's segment cap (UDP_MAX_SEGMENTS is
+/// 64 on older kernels) and the largest UDP payload over IPv4.
+constexpr std::size_t kMaxGsoSegments = 64;
+constexpr std::size_t kMaxUdpPayload = 65507;
 
 std::int64_t steady_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -200,13 +212,36 @@ void RealtimeLoop::run_for(Duration wall) {
 
 // -------------------------------------------------------------- UdpWire ---
 
+struct UdpWire::Control {
+  alignas(cmsghdr) unsigned char buf[CMSG_SPACE(sizeof(int))];
+};
+
+namespace {
+
+/// The segment size a GRO buffer's run is cut at (its UDP_GRO cmsg), or
+/// the whole buffer when it holds a single datagram.
+std::size_t gro_segment_size(msghdr& h, std::size_t len) {
+  for (cmsghdr* c = CMSG_FIRSTHDR(&h); c != nullptr; c = CMSG_NXTHDR(&h, c)) {
+    if (c->cmsg_level != SOL_UDP || c->cmsg_type != UDP_GRO) continue;
+    int size = 0;
+    std::memcpy(&size, CMSG_DATA(c), sizeof(size));
+    if (size > 0 && static_cast<std::size_t>(size) < len) {
+      return static_cast<std::size_t>(size);
+    }
+  }
+  return len;
+}
+
+}  // namespace
+
 UdpWire::UdpWire(RealtimeLoop& loop, std::uint16_t local_port,
                  std::uint16_t remote_port, UdpWireConfig cfg)
     : loop_(loop),
       cfg_(cfg),
       impairment_rng_(cfg.impairment_seed),
       tx_arenas_(cfg.batch),
-      rx_bufs_(cfg.batch) {
+      rx_bufs_(std::max<std::size_t>(
+          1, cfg.batch * kRecvBytesPerBatch / kRecvSlotBytes)) {
   IQ_CHECK(cfg_.batch >= 1);
   fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   IQ_CHECK_MSG(fd_ >= 0, "socket() failed");
@@ -224,19 +259,37 @@ UdpWire::UdpWire(RealtimeLoop& loop, std::uint16_t local_port,
   rc = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   IQ_CHECK_MSG(rc == 0, "connect() failed");
 
+  // UDP offloads. UDP_SEGMENT at 0 only asks whether the kernel knows the
+  // option (each run gives its segment size in a cmsg); UDP_GRO lets the
+  // kernel hand over a run as one buffer. Either may be refused.
+  const int off = 0, on = 1;
+  offload_.gso =
+      ::setsockopt(fd_, SOL_UDP, UDP_SEGMENT, &off, sizeof(off)) == 0;
+  offload_.gro = ::setsockopt(fd_, SOL_UDP, UDP_GRO, &on, sizeof(on)) == 0;
+
+  // Messages never outnumber datagrams, so `batch` mmsghdrs cover any
+  // grouping of the send batch.
   tx_msgs_ = std::make_unique<mmsghdr[]>(cfg_.batch);
   tx_iovs_ = std::make_unique<iovec[]>(cfg_.batch);
-  rx_msgs_ = std::make_unique<mmsghdr[]>(cfg_.batch);
-  rx_iovs_ = std::make_unique<iovec[]>(cfg_.batch);
+  tx_ctrl_ = std::make_unique<Control[]>(cfg_.batch);
   std::memset(tx_msgs_.get(), 0, sizeof(mmsghdr) * cfg_.batch);
-  std::memset(rx_msgs_.get(), 0, sizeof(mmsghdr) * cfg_.batch);
   for (std::size_t i = 0; i < cfg_.batch; ++i) {
-    tx_msgs_[i].msg_hdr.msg_iov = &tx_iovs_[i];
-    tx_msgs_[i].msg_hdr.msg_iovlen = 1;
-    rx_bufs_[i].resize(cfg_.recv_slot_bytes);
+    auto* c = reinterpret_cast<cmsghdr*>(tx_ctrl_[i].buf);
+    c->cmsg_level = SOL_UDP;
+    c->cmsg_type = UDP_SEGMENT;
+    c->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
+  }
+  const std::size_t slots = rx_bufs_.size();
+  rx_msgs_ = std::make_unique<mmsghdr[]>(slots);
+  rx_iovs_ = std::make_unique<iovec[]>(slots);
+  rx_ctrl_ = std::make_unique<Control[]>(slots);
+  std::memset(rx_msgs_.get(), 0, sizeof(mmsghdr) * slots);
+  for (std::size_t i = 0; i < slots; ++i) {
+    rx_bufs_[i].resize(kRecvSlotBytes);
     rx_iovs_[i] = {rx_bufs_[i].data(), rx_bufs_[i].size()};
     rx_msgs_[i].msg_hdr.msg_iov = &rx_iovs_[i];
     rx_msgs_[i].msg_hdr.msg_iovlen = 1;
+    rx_msgs_[i].msg_hdr.msg_control = rx_ctrl_[i].buf;
   }
 
   loop_.add_fd(fd_, [this] { on_readable(); });
@@ -270,73 +323,129 @@ void UdpWire::send(const rudp::Segment& segment) {
 }
 
 void UdpWire::flush_sends() {
+  // Group the queued datagrams into messages. With GSO, each run of
+  // consecutive equal-size datagrams (one shorter datagram may close it)
+  // becomes one message whose UDP_SEGMENT cmsg tells the kernel where to
+  // cut it apart again, so every segment still leaves as its own datagram.
+  std::size_t n_msgs = 0;
+  std::size_t i = 0;
+  while (i < tx_pending_) {
+    const std::size_t seg = tx_iovs_[i].iov_len;
+    std::size_t end = i + 1;
+    std::size_t bytes = seg;
+    while (offload_.gso && end < tx_pending_ && end - i < kMaxGsoSegments) {
+      const std::size_t len = tx_iovs_[end].iov_len;
+      if (len > seg || bytes + len > kMaxUdpPayload) break;
+      bytes += len;
+      ++end;
+      if (len < seg) break;
+    }
+    msghdr& h = tx_msgs_[n_msgs].msg_hdr;
+    h.msg_iov = &tx_iovs_[i];
+    h.msg_iovlen = end - i;
+    if (end - i > 1) {
+      const auto size = static_cast<std::uint16_t>(seg);
+      std::memcpy(CMSG_DATA(reinterpret_cast<cmsghdr*>(tx_ctrl_[n_msgs].buf)),
+                  &size, sizeof(size));
+      h.msg_control = tx_ctrl_[n_msgs].buf;
+      h.msg_controllen = CMSG_SPACE(sizeof(size));
+    } else {
+      h.msg_control = nullptr;
+      h.msg_controllen = 0;
+    }
+    i = end;
+    ++n_msgs;
+  }
+
   std::size_t off = 0;
-  while (off < tx_pending_) {
-    const unsigned n = static_cast<unsigned>(tx_pending_ - off);
+  while (off < n_msgs) {
+    const unsigned n = static_cast<unsigned>(n_msgs - off);
     const int r = ::sendmmsg(fd_, &tx_msgs_[off], n, 0);
     if (r < 0) {
       if (errno == EINTR) continue;
-      // The head datagram was refused (EWOULDBLOCK/ENOBUFS under pressure,
-      // EMSGSIZE for oversize): count the drop — silently log-warning it
-      // away hid real transmit losses from every stat — skip it, and keep
-      // the rest of the batch moving.
-      ++stats_.sends_dropped;
-      if (drop_fn_) drop_fn_();
+      // The head message was refused (EWOULDBLOCK/ENOBUFS under pressure,
+      // EMSGSIZE for oversize): count each of its datagrams as dropped —
+      // silently log-warning them away hid real transmit losses from every
+      // stat — skip it, and keep the rest of the batch moving.
+      const std::size_t refused = tx_msgs_[off].msg_hdr.msg_iovlen;
+      stats_.sends_dropped += refused;
+      if (drop_fn_) {
+        for (std::size_t k = 0; k < refused; ++k) drop_fn_();
+      }
       log_warn("udp_wire: sendmmsg failed: ", std::strerror(errno));
       ++off;
       continue;
     }
-    stats_.datagrams_sent += static_cast<std::uint64_t>(r);
+    const auto taken = static_cast<std::size_t>(r);
+    std::uint64_t datagrams = 0;
+    for (std::size_t k = off; k < off + taken; ++k) {
+      datagrams += tx_msgs_[k].msg_hdr.msg_iovlen;
+    }
+    stats_.datagrams_sent += datagrams;
+    stats_.send_messages += taken;
     ++stats_.send_batches;
-    stats_.max_send_batch =
-        std::max<std::uint64_t>(stats_.max_send_batch, r);
-    off += static_cast<std::size_t>(r);
+    stats_.max_send_batch = std::max(stats_.max_send_batch, datagrams);
+    off += taken;
   }
   tx_pending_ = 0;
 }
 
 void UdpWire::on_readable() {
+  const std::size_t slots = rx_bufs_.size();
   for (;;) {
-    const int r = ::recvmmsg(fd_, rx_msgs_.get(),
-                             static_cast<unsigned>(cfg_.batch), MSG_DONTWAIT,
-                             nullptr);
+    // The kernel overwrites msg_controllen with what it wrote.
+    for (std::size_t i = 0; i < slots; ++i) {
+      rx_msgs_[i].msg_hdr.msg_controllen = sizeof(Control::buf);
+    }
+    const int r = ::recvmmsg(fd_, rx_msgs_.get(), static_cast<unsigned>(slots),
+                             MSG_DONTWAIT, nullptr);
     if (r <= 0) {
       if (r < 0 && errno == EINTR) continue;
       break;  // EWOULDBLOCK or error — drained
     }
-    ++stats_.recv_batches;
-    stats_.max_recv_batch =
-        std::max<std::uint64_t>(stats_.max_recv_batch, r);
+    std::uint64_t datagrams = 0;
     for (int i = 0; i < r; ++i) {
-      if ((rx_msgs_[i].msg_hdr.msg_flags & MSG_TRUNC) != 0) {
+      msghdr& h = rx_msgs_[i].msg_hdr;
+      const std::size_t len = rx_msgs_[i].msg_len;
+      if ((h.msg_flags & MSG_TRUNC) != 0) {
+        ++datagrams;
         ++stats_.truncated_datagrams;
         ++stats_.decode_failures;
         continue;
       }
-      const std::size_t len = rx_msgs_[i].msg_len;
       if (len == 0) {
         // A zero-length datagram is a real (empty) arrival, not "socket
         // drained": count it and skip the decoder instead of letting it
         // surface as a spurious decode failure.
+        ++datagrams;
         ++stats_.empty_datagrams;
         continue;
       }
-      if (blackout_ ||
-          (cfg_.rx_drop > 0.0 && impairment_rng_.chance(cfg_.rx_drop))) {
-        ++stats_.impaired_rx_drops;
-        continue;
+      // A GRO buffer holds a run cut at one segment size (the last piece
+      // may be shorter); each piece is a datagram in its own right.
+      const std::size_t seg = gro_segment_size(h, len);
+      for (std::size_t at = 0; at < len; at += seg) {
+        ++datagrams;
+        if (blackout_ ||
+            (cfg_.rx_drop > 0.0 && impairment_rng_.chance(cfg_.rx_drop))) {
+          ++stats_.impaired_rx_drops;
+          continue;
+        }
+        dispatch(BytesView(rx_bufs_[i].data() + at, std::min(seg, len - at)));
       }
-      dispatch(BytesView(rx_bufs_[i].data(), len));
     }
-    if (static_cast<std::size_t>(r) < cfg_.batch) break;
+    ++stats_.recv_batches;
+    stats_.recv_messages += static_cast<std::uint64_t>(r);
+    stats_.max_recv_batch = std::max(stats_.max_recv_batch, datagrams);
+    if (static_cast<std::size_t>(r) < slots) break;
   }
 }
 
 void UdpWire::dispatch(BytesView datagram) {
   rudp::DecodeStatus status = rudp::DecodeStatus::Ok;
-  // In-place decode: the payload view borrows the receive slot, which lives
-  // until the next recvmmsg — long enough for the synchronous recv_
-  // dispatch (zero-copy lifetime rules in docs/WIRE.md).
+  // In-place decode: the payload view borrows its sub-range of the receive
+  // slot, which lives until the next recvmmsg — long enough for the
+  // synchronous recv_ dispatch (zero-copy lifetime rules in docs/WIRE.md).
   auto decoded = rudp::decode_segment_view(datagram, &status);
   if (!decoded) {
     ++stats_.decode_failures;

@@ -4,11 +4,13 @@
 // RealtimeLoop implements the Executor interface against the monotonic
 // clock with an epoll(7)-driven event loop and a timerfd-armed timer heap;
 // UdpWire encodes segments with the wire codec and moves them through an
-// actual AF_INET datagram socket in sendmmsg/recvmmsg batches. Used by the
-// loopback example, the integration tests, the two-process soak and
-// bench_wire to demonstrate the protocol is a deployable transport, not
-// only a simulation artifact. docs/WIRE.md has the event-loop contract,
-// the batching/zero-copy lifetime rules and the soak instructions.
+// actual AF_INET datagram socket in sendmmsg/recvmmsg batches, with UDP
+// GSO/GRO carrying each run of equal-size segments across the kernel as
+// one message. Used by the loopback example, the integration tests, the
+// two-process soak and bench_wire to demonstrate the protocol is a
+// deployable transport, not only a simulation artifact. docs/WIRE.md has
+// the event-loop contract, the batching/zero-copy lifetime rules and the
+// soak instructions.
 
 #include <cstdint>
 #include <functional>
@@ -118,21 +120,24 @@ class RealtimeLoop final : public sim::Executor {
 /// drops are applied at this endpoint, after the kernel, with a seeded RNG,
 /// and counted separately from genuine kernel send failures.
 struct UdpWireConfig {
-  /// mmsg slots per direction; sends flush when the batch fills and at
-  /// every loop flush point, receives drain up to this many per syscall.
+  /// Datagrams queued per send batch; sends flush when the batch fills and
+  /// at every loop flush point. Also sizes the receive memory: batch ×
+  /// 9216 B, carved into 64-KiB receive slots (at least one).
   std::size_t batch = 16;
-  /// Per-slot receive buffer; datagrams longer than this are counted
-  /// truncated and rejected (loopback MTU covers any mtu-sized segment).
-  std::size_t recv_slot_bytes = 9216;
   /// Probability an inbound / outbound datagram is dropped here.
   double rx_drop = 0.0;
   double tx_drop = 0.0;
   std::uint64_t impairment_seed = 1;
 };
 
+/// Counters are in datagrams (one encoded segment each) unless they say
+/// messages: with UDP GSO/GRO one sendmmsg/recvmmsg message carries a run
+/// of datagrams, so datagrams ÷ messages is the coalescing factor.
 struct UdpWireStats {
   std::uint64_t datagrams_sent = 0;      ///< accepted by the kernel
   std::uint64_t datagrams_received = 0;  ///< decoded and dispatched
+  std::uint64_t send_messages = 0;  ///< sendmmsg messages the kernel took
+  std::uint64_t recv_messages = 0;  ///< recvmmsg messages (buffers) returned
   /// All rejected inbound datagrams (any DecodeStatus failure, truncation).
   std::uint64_t decode_failures = 0;
   /// Subset rejected specifically by the wire checksum: well-framed IQ
@@ -146,13 +151,23 @@ struct UdpWireStats {
   /// Zero-length datagrams: a valid (if useless) UDP arrival, distinguished
   /// from "socket drained" and never fed to the decoder.
   std::uint64_t empty_datagrams = 0;
-  std::uint64_t truncated_datagrams = 0;  ///< larger than recv_slot_bytes
+  std::uint64_t truncated_datagrams = 0;  ///< buffers flagged MSG_TRUNC
   std::uint64_t send_batches = 0;   ///< sendmmsg calls that moved >=1
   std::uint64_t recv_batches = 0;   ///< recvmmsg calls that moved >=1
-  std::uint64_t max_send_batch = 0;
-  std::uint64_t max_recv_batch = 0;
+  std::uint64_t max_send_batch = 0;  ///< most datagrams one sendmmsg moved
+  std::uint64_t max_recv_batch = 0;  ///< most datagrams one recvmmsg moved
   std::uint64_t impaired_tx_drops = 0;  ///< userspace impairment, outbound
   std::uint64_t impaired_rx_drops = 0;  ///< userspace impairment, inbound
+};
+
+/// Which UDP offloads the kernel accepted when the wire's socket was set
+/// up. A refused option is not an error: the wire runs the same code with
+/// send runs of one datagram (no GSO) or receive buffers that each hold
+/// one datagram (no GRO), and a peer without GRO still gets every segment
+/// as its own datagram because the kernel cuts GSO sends apart.
+struct UdpOffload {
+  bool gso = false;  ///< UDP_SEGMENT: a send run leaves as one message
+  bool gro = false;  ///< UDP_GRO: one receive buffer may hold a run
 };
 
 class UdpWire final : public rudp::SegmentWire {
@@ -183,6 +198,7 @@ class UdpWire final : public rudp::SegmentWire {
   void set_blackout(bool on) { blackout_ = on; }
 
   const UdpWireStats& stats() const { return stats_; }
+  const UdpOffload& offload() const { return offload_; }
   std::uint64_t datagrams_sent() const { return stats_.datagrams_sent; }
   std::uint64_t datagrams_received() const {
     return stats_.datagrams_received;
@@ -194,29 +210,39 @@ class UdpWire final : public rudp::SegmentWire {
   void on_readable();
   void dispatch(BytesView datagram);
 
+  /// Ancillary-data space for one message's single UDP_SEGMENT or UDP_GRO
+  /// cmsg (defined in udp_wire.cpp, which includes <sys/socket.h>).
+  struct Control;
+
   RealtimeLoop& loop_;
   UdpWireConfig cfg_;
   int fd_ = -1;
+  UdpOffload offload_;
   RealtimeLoop::HookId flush_hook_ = 0;
   Rng impairment_rng_;
   bool blackout_ = false;
 
-  // Transmit batch: slot i's mmsghdr/iovec point into arena i, which is
-  // reused only after the slot has been flushed. After the first few sends
-  // every arena sits at its high-water size and the send path performs no
-  // heap allocation (see rudp::encode_segment_into).
+  // Transmit batch: datagram i is encoded into arena i and described by
+  // iovec i; the arena is reused only after flush_sends() has pushed it.
+  // After the first few sends every arena sits at its high-water size and
+  // the send path performs no heap allocation (see
+  // rudp::encode_segment_into). flush_sends() points one mmsghdr at each
+  // run of consecutive iovecs, so a run needs no copy.
   std::vector<ByteWriter> tx_arenas_;
   std::unique_ptr<mmsghdr[]> tx_msgs_;
   std::unique_ptr<iovec[]> tx_iovs_;
+  std::unique_ptr<Control[]> tx_ctrl_;
   std::size_t tx_pending_ = 0;
 
-  // Receive batch: fixed buffers recvmmsg fills; decode_segment_view
-  // parses each datagram in place from its slot (the payload view aliases
-  // the slot and is valid only for the synchronous recv_ dispatch —
-  // zero-copy lifetime rules in docs/WIRE.md).
+  // Receive slots: 64-KiB buffers recvmmsg fills, each with one datagram
+  // or one GRO run; decode_segment_view parses each segment in place from
+  // its sub-range of the slot (the payload view aliases the slot and is
+  // valid only for the synchronous recv_ dispatch — zero-copy lifetime
+  // rules in docs/WIRE.md).
   std::vector<Bytes> rx_bufs_;
   std::unique_ptr<mmsghdr[]> rx_msgs_;
   std::unique_ptr<iovec[]> rx_iovs_;
+  std::unique_ptr<Control[]> rx_ctrl_;
 
   RecvFn recv_;
   CorruptionFn corrupt_fn_;

@@ -9,12 +9,17 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/udp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
+#include <thread>
 #include <vector>
 
+#include "iq/common/rng.hpp"
+#include "iq/rudp/codec.hpp"
 #include "iq/rudp/connection.hpp"
 #include "iq/wire/udp_wire.hpp"
 
@@ -30,6 +35,72 @@ double elapsed_ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// A raw UDP socket posing as a wire's peer. The wire's socket is
+/// connected, so the probe must source from the remote port it expects.
+int peer_probe(std::uint16_t probe_port, std::uint16_t wire_port) {
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  if (fd < 0) return fd;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(probe_port);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  addr.sin_port = htons(wire_port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Send `pieces` back to back as one UDP_SEGMENT message cut every
+/// `seg_size` bytes. False when the kernel refuses the message (no GSO).
+bool send_coalesced(int fd, const std::vector<Bytes>& pieces,
+                    std::uint16_t seg_size) {
+  Bytes all;
+  for (const Bytes& p : pieces) all.insert(all.end(), p.begin(), p.end());
+  iovec iov{all.data(), all.size()};
+  alignas(cmsghdr) unsigned char ctrl[CMSG_SPACE(sizeof(seg_size))] = {};
+  msghdr h{};
+  h.msg_iov = &iov;
+  h.msg_iovlen = 1;
+  h.msg_control = ctrl;
+  h.msg_controllen = sizeof(ctrl);
+  cmsghdr* c = CMSG_FIRSTHDR(&h);
+  c->cmsg_level = SOL_UDP;
+  c->cmsg_type = UDP_SEGMENT;
+  c->cmsg_len = CMSG_LEN(sizeof(seg_size));
+  std::memcpy(CMSG_DATA(c), &seg_size, sizeof(seg_size));
+  return ::sendmsg(fd, &h, 0) == static_cast<ssize_t>(all.size());
+}
+
+/// One flush's mixed burst, in send order: three MSS-sized DATA (1452 B
+/// encoded), the 984-B-payload tail of a 16-KiB block, three bare ACKs
+/// (42 B), a first fragment carrying attrs, then three more MSS-sized DATA.
+/// Every segment has its own seq, so arrivals can be matched to sends.
+std::vector<rudp::Segment> mixed_burst() {
+  using rudp::SegmentType;
+  std::vector<rudp::Segment> burst;
+  const auto add = [&](SegmentType type, std::int32_t payload) {
+    rudp::Segment s;
+    s.type = type;
+    s.conn_id = 9;
+    s.seq = static_cast<rudp::WireSeq>(burst.size() + 1);
+    s.payload_bytes = payload;
+    burst.push_back(s);
+  };
+  for (int i = 0; i < 3; ++i) add(SegmentType::Data, 1400);
+  add(SegmentType::Data, 984);
+  for (int i = 0; i < 3; ++i) add(SegmentType::Ack, 0);
+  add(SegmentType::Data, 1400);
+  burst.back().attrs.set("label", "frame-7");
+  for (int i = 0; i < 3; ++i) add(SegmentType::Data, 1400);
+  return burst;
 }
 
 TEST(RealtimeLoopTest, TimersFireInOrder) {
@@ -206,7 +277,8 @@ TEST(UdpWireTest, AttrsSurviveRealSerialization) {
 // Regression (send-path defect #3): a datagram the kernel refuses must not
 // vanish silently. An encoded segment above the UDP payload limit fails
 // sendmmsg with EMSGSIZE deterministically; the wire counts it and the
-// drop handler propagates it into RudpStats::sends_dropped.
+// drop handler propagates it into RudpStats::sends_dropped. A refused GSO
+// message counts every datagram it carried.
 TEST(UdpWireTest, RefusedSendIsCountedAndReachesRudpStats) {
   RealtimeLoop loop;
   UdpWire wire(loop, pick_port(4), pick_port(5));
@@ -223,6 +295,22 @@ TEST(UdpWireTest, RefusedSendIsCountedAndReachesRudpStats) {
   EXPECT_EQ(wire.stats().sends_dropped, 1u);
   EXPECT_EQ(wire.stats().datagrams_sent, 0u);
   EXPECT_EQ(conn.stats().sends_dropped, 1u);
+
+  // Nothing listens on the peer port, so the first datagram that leaves
+  // draws an ICMP port unreachable and the kernel refuses the next send
+  // with ECONNREFUSED. The loop is not polled meanwhile: its read would
+  // consume the pending error.
+  const std::vector<rudp::Segment> burst = mixed_burst();
+  wire.send(burst[4]);
+  wire.flush_sends();
+  ASSERT_EQ(wire.stats().datagrams_sent, 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (int i = 0; i < 4; ++i) wire.send(burst[i]);  // one run: DATA 1–4
+  wire.flush_sends();
+  const std::uint64_t refused = wire.offload().gso ? 4 : 1;
+  EXPECT_EQ(wire.stats().sends_dropped, 1 + refused);
+  EXPECT_EQ(conn.stats().sends_dropped, 1 + refused);
+  EXPECT_EQ(wire.stats().datagrams_sent, 1 + 4 - refused);
 }
 
 // A zero-length datagram is a valid UDP arrival, distinct from "socket
@@ -230,24 +318,9 @@ TEST(UdpWireTest, RefusedSendIsCountedAndReachesRudpStats) {
 TEST(UdpWireTest, ZeroLengthDatagramIsCountedNotDecoded) {
   RealtimeLoop loop;
   UdpWire wire(loop, pick_port(6), pick_port(7));
-
-  // The wire's socket is connected, so the probe must source from the
-  // remote port it expects.
-  int probe = ::socket(AF_INET, SOCK_DGRAM, 0);
+  const int probe = peer_probe(pick_port(7), pick_port(6));
   ASSERT_GE(probe, 0);
-  sockaddr_in self{};
-  self.sin_family = AF_INET;
-  self.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  self.sin_port = htons(pick_port(7));
-  ASSERT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&self), sizeof(self)),
-            0);
-  sockaddr_in dst{};
-  dst.sin_family = AF_INET;
-  dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  dst.sin_port = htons(pick_port(6));
-  ASSERT_EQ(::sendto(probe, "", 0, 0, reinterpret_cast<sockaddr*>(&dst),
-                     sizeof(dst)),
-            0);
+  ASSERT_EQ(::send(probe, "", 0, 0), 0);
   ASSERT_TRUE(loop.run_until([&] { return wire.stats().empty_datagrams > 0; },
                              Duration::seconds(5)));
   EXPECT_EQ(wire.stats().empty_datagrams, 1u);
@@ -255,12 +328,139 @@ TEST(UdpWireTest, ZeroLengthDatagramIsCountedNotDecoded) {
   EXPECT_EQ(wire.stats().datagrams_received, 0u);
 
   // Garbage from the same peer is a decode failure, not a checksum reject.
-  ASSERT_EQ(::sendto(probe, "not-iq", 6, 0,
-                     reinterpret_cast<sockaddr*>(&dst), sizeof(dst)),
-            6);
+  ASSERT_EQ(::send(probe, "not-iq", 6, 0), 6);
   ASSERT_TRUE(loop.run_until([&] { return wire.stats().decode_failures > 0; },
                              Duration::seconds(5)));
   EXPECT_EQ(wire.stats().checksum_rejects, 0u);
+  ::close(probe);
+}
+
+// GSO and GRO move a run of equal-size segments through the kernel as one
+// message, but every segment is still its own datagram: a mixed burst from
+// one flush arrives complete and in order, and the datagram counters count
+// segments while send_messages shows the coalescing.
+TEST(UdpWireTest, CoalescedRunsArriveAsSeparateSegments) {
+  const std::vector<rudp::Segment> burst = mixed_burst();
+  ASSERT_EQ(rudp::encode_segment(burst[0]).size(), 1452u);
+  ASSERT_EQ(rudp::encode_segment(burst[3]).size(), 1036u);
+  ASSERT_EQ(rudp::encode_segment(burst[4]).size(), 42u);
+  ASSERT_GT(rudp::encode_segment(burst[7]).size(), 1452u);
+  const std::uint64_t n = burst.size();
+
+  {
+    RealtimeLoop loop;
+    UdpWire wire_a(loop, pick_port(12), pick_port(13));
+    UdpWire wire_b(loop, pick_port(13), pick_port(12));
+    std::vector<rudp::Segment> got;
+    wire_b.set_receiver([&](const rudp::Segment& s) { got.push_back(s); });
+    for (const rudp::Segment& s : burst) wire_a.send(s);
+    wire_a.flush_sends();
+    ASSERT_TRUE(loop.run_until([&] { return got.size() == n; },
+                               Duration::seconds(5)));
+
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i].seq, burst[i].seq);
+      EXPECT_EQ(got[i].type, burst[i].type);
+      EXPECT_EQ(got[i].payload_bytes, burst[i].payload_bytes);
+    }
+    EXPECT_EQ(got[7].attrs.get_string("label"), "frame-7");
+
+    const UdpWireStats& sa = wire_a.stats();
+    EXPECT_EQ(sa.datagrams_sent, n);
+    EXPECT_EQ(sa.send_batches, 1u);
+    EXPECT_EQ(sa.max_send_batch, n);
+    // With GSO, 4 messages carry the 11 datagrams. Runs: DATA 1–4 (the
+    // tail closes it), the ACKs, the attrs fragment closed by the shorter
+    // DATA after it, the last two DATA.
+    EXPECT_EQ(sa.send_messages, wire_a.offload().gso ? 4u : n);
+
+    const UdpWireStats& sb = wire_b.stats();
+    EXPECT_EQ(sb.datagrams_received, n);
+    EXPECT_EQ(sb.decode_failures, 0u);
+    if (wire_a.offload().gso && wire_b.offload().gro) {
+      EXPECT_EQ(sb.recv_messages, 4u);
+    }
+  }
+
+  // Receive impairment is drawn per segment, not per buffer: the drops are
+  // exactly the seeded RNG's draws over the segments in order.
+  constexpr double kDrop = 0.25;
+  constexpr std::uint64_t kSeed = 3;
+  std::vector<rudp::WireSeq> kept;
+  Rng draws(kSeed);
+  bool first_run_split = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!draws.chance(kDrop)) kept.push_back(burst[i].seq);
+    // The first run (seqs 1–4) must be partly dropped for this to
+    // distinguish per-segment from per-buffer impairment.
+    if (i == 3) first_run_split = !kept.empty() && kept.size() < 4;
+  }
+  ASSERT_TRUE(first_run_split);
+
+  RealtimeLoop loop;
+  UdpWireConfig impaired;
+  impaired.rx_drop = kDrop;
+  impaired.impairment_seed = kSeed;
+  UdpWire wire_a(loop, pick_port(14), pick_port(15));
+  UdpWire wire_b(loop, pick_port(15), pick_port(14), impaired);
+  std::vector<rudp::WireSeq> got;
+  wire_b.set_receiver([&](const rudp::Segment& s) { got.push_back(s.seq); });
+  for (const rudp::Segment& s : burst) wire_a.send(s);
+  wire_a.flush_sends();
+  const UdpWireStats& sb = wire_b.stats();
+  ASSERT_TRUE(loop.run_until(
+      [&] { return sb.impaired_rx_drops + sb.datagrams_received == n; },
+      Duration::seconds(5)));
+  EXPECT_EQ(got, kept);
+  EXPECT_EQ(sb.impaired_rx_drops, n - kept.size());
+}
+
+// Hostile peer: a coalesced buffer is validated segment by segment. One
+// corrupted piece costs only itself (the pieces around it are delivered),
+// and a buffer of garbage counts one decode failure per piece.
+TEST(UdpWireTest, CoalescedBufferIsValidatedPerSegment) {
+  RealtimeLoop loop;
+  UdpWire wire(loop, pick_port(16), pick_port(17));
+  const int probe = peer_probe(pick_port(17), pick_port(16));
+  ASSERT_GE(probe, 0);
+  std::vector<rudp::WireSeq> got;
+  int corruptions = 0;
+  wire.set_receiver([&](const rudp::Segment& s) { got.push_back(s.seq); });
+  wire.set_corruption_handler([&] { ++corruptions; });
+
+  std::vector<Bytes> pieces;
+  for (std::uint32_t seq = 1; seq <= 4; ++seq) {
+    rudp::Segment s;
+    s.type = rudp::SegmentType::Data;
+    s.seq = seq;
+    s.payload_bytes = seq < 4 ? 1400 : 984;
+    pieces.push_back(rudp::encode_segment(s));
+  }
+  pieces[2][100] ^= 0x01;  // a payload byte: framed as IQ, fails the CRC
+  if (!send_coalesced(probe, pieces, 1452)) {
+    ::close(probe);
+    GTEST_SKIP() << "kernel refused a UDP_SEGMENT send";
+  }
+  const UdpWireStats& st = wire.stats();
+  ASSERT_TRUE(loop.run_until(
+      [&] { return st.datagrams_received + st.decode_failures == 4; },
+      Duration::seconds(5)));
+  EXPECT_EQ(got, (std::vector<rudp::WireSeq>{1, 2, 4}));
+  EXPECT_EQ(st.checksum_rejects, 1u);
+  EXPECT_EQ(st.decode_failures, 1u);
+  EXPECT_EQ(corruptions, 1);
+
+  const std::vector<Bytes> garbage = {Bytes(100, 0xA5), Bytes(100, 0xA5),
+                                      Bytes(100, 0xA5), Bytes(60, 0xA5)};
+  ASSERT_TRUE(send_coalesced(probe, garbage, 100));
+  ASSERT_TRUE(loop.run_until([&] { return st.decode_failures == 5; },
+                             Duration::seconds(5)));
+  EXPECT_EQ(got.size(), 3u);
+  EXPECT_EQ(st.checksum_rejects, 1u);
+  EXPECT_EQ(corruptions, 1);
+  // With GRO each message arrived as one buffer and the wire cut it apart;
+  // without, the kernel did, one datagram per message.
+  EXPECT_EQ(st.recv_messages, wire.offload().gro ? 2u : 8u);
   ::close(probe);
 }
 
