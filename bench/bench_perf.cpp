@@ -10,6 +10,7 @@
 //
 // Usage: bench_perf [output.json]   (default BENCH_PERF.json in the CWD)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -135,6 +136,57 @@ double bench_same_instant_burst() {
     }
     return fired;
   });
+}
+
+/// Sparse churn, the Table-1 pattern: 16 standing events, each of which
+/// schedules one follow-up 1 µs–4 ms ahead when it fires, until 2 M have
+/// fired. With so few events spread so far apart, nearly every pop finds
+/// the next deadline in a coarse bucket, so this row prices the wheel's
+/// cascade, which event_churn's (+1–977 ns) and the burst row's
+/// (same-instant) deadlines barely reach. The delays come from one
+/// xorshift64 stream with a fixed seed, so both schedulers see identical
+/// deadlines. Templated so both run the identical op mix.
+template <typename Queue>
+std::uint64_t run_sparse_churn() {
+  constexpr std::size_t kStanding = 16;
+  constexpr std::uint64_t kTotal = 2'000'000;
+  Queue q;
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  const auto delay_ns = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return static_cast<std::int64_t>(1'000 + x % 3'999'001);
+  };
+  for (std::size_t i = 0; i < kStanding; ++i) {
+    q.schedule(TimePoint::from_ns(delay_ns()), [] {});
+  }
+  std::uint64_t fired = 0;
+  while (fired < kTotal) {
+    auto ev = q.pop();
+    ev.fn();
+    ++fired;
+    q.schedule(ev.at + Duration::nanos(delay_ns()), [] {});
+  }
+  return fired;
+}
+
+struct SparseResult {
+  double heap_eps = 0.0;
+  double wheel_eps = 0.0;
+};
+
+/// Best of 5 per scheduler, the reps alternating between the two so that a
+/// slow spell of the host lands on both sides of the ratio.
+SparseResult bench_sparse_churn() {
+  SparseResult out;
+  for (int rep = 0; rep < 5; ++rep) {
+    out.heap_eps = std::max(
+        out.heap_eps, best_rate(1, run_sparse_churn<sim::EventQueue>));
+    out.wheel_eps = std::max(
+        out.wheel_eps, best_rate(1, run_sparse_churn<sim::TimerWheel>));
+  }
+  return out;
 }
 
 /// Steady-state allocation count of the wheel's rearm path: after warmup,
@@ -434,6 +486,12 @@ int main(int argc, char** argv) {
   std::printf("  same-instant burst: %8.2f M events/s wheel, %.2f M heap "
               "(%.2fx)\n",
               burst_wheel / 1e6, burst_heap / 1e6, burst_ratio);
+  const SparseResult sparse = bench_sparse_churn();
+  const double sparse_ratio =
+      sparse.heap_eps > 0 ? sparse.wheel_eps / sparse.heap_eps : 0.0;
+  std::printf("  sparse churn:       %8.2f M events/s wheel, %.2f M heap "
+              "(%.2fx)\n",
+              sparse.wheel_eps / 1e6, sparse.heap_eps / 1e6, sparse_ratio);
   const std::uint64_t wheel_allocs = bench_wheel_churn_allocs();
   std::printf("  wheel churn allocs: %8llu per 100 rearm rounds\n",
               static_cast<unsigned long long>(wheel_allocs));
@@ -482,6 +540,7 @@ int main(int argc, char** argv) {
       .field("wheel_sched_cancel_ops_1k", sc_wheel_1k)
       .field("wheel_sched_cancel_ops_10k", sc_wheel_10k)
       .field("wheel_burst_vs_heap", burst_ratio)
+      .field("wheel_sparse_vs_heap", sparse_ratio)
       .field("wheel_churn_steady_allocs", wheel_allocs)
       .field("packet_pump_eps", pump.events_per_s)
       .field("packet_pump_pps", pump.packets_per_s)

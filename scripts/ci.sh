@@ -21,8 +21,8 @@
 # (scripts/perf_compare.py): deterministic invariants — table1_events,
 # runner_rows_identical, codec_steady_roundtrip_allocs — fail on any drift,
 # and so do the ratio floors that hold on any machine (pclmul CRC >= 5x
-# slice8, wheel_burst_vs_heap >= 0.5); throughput deltas only warn,
-# because wall-clock swings with the machine.
+# slice8, wheel_burst_vs_heap >= 0.5, wheel_sparse_vs_heap >= 0.75);
+# throughput deltas only warn, because wall-clock swings with the machine.
 # `--audit` runs the full suite plus the chaos matrix with the protocol
 # invariant auditor armed process-wide (IQ_AUDIT=1, docs/AUDIT.md): every
 # RudpConnection records its event stream into a flight recorder and a

@@ -44,6 +44,14 @@ CRC_PCLMUL_SPEEDUP_FLOOR = 5.0
 # reads 0.75-1.1.
 WHEEL_BURST_FLOOR = 0.5
 
+# The wheel must also keep pace with the heap on a sparse churn
+# (wheel_sparse_vs_heap: 16 standing events, each firing one follow-up
+# 1 us-4 ms ahead, the Table-1 pattern). A ratio of two rates from one run,
+# so the floor holds on any machine. A wheel that walks its position down
+# one level per cascade until the next event lands read 0.50-0.60 here;
+# one cascade per pop reads 0.80-1.05.
+WHEEL_SPARSE_FLOOR = 0.75
+
 # Construction cost of the 1-shard 10240-flow CityScale: operator-new calls
 # and bytes requested while building it. Deterministic for a given
 # toolchain, so a rise is a real regression; a fall is an improvement to
@@ -208,6 +216,15 @@ def main() -> int:
                 f" {WHEEL_BURST_FLOOR} floor: a same-instant burst runs at"
                 " under half the heap's rate, so the wheel is rescanning"
                 " its pileups"
+            )
+    if "wheel_sparse_vs_heap" in base or "wheel_sparse_vs_heap" in fresh:
+        ratio = fresh.get("wheel_sparse_vs_heap", 0.0)
+        if ratio < WHEEL_SPARSE_FLOOR:
+            failures.append(
+                f"wheel_sparse_vs_heap = {ratio:.3f} below the"
+                f" {WHEEL_SPARSE_FLOOR} floor: a sparse churn runs at under"
+                " three quarters of the heap's rate, so each pop is paying"
+                " for more than one cascade"
             )
     if "crc_impl" in base and base["crc_impl"] != fresh.get("crc_impl"):
         print(

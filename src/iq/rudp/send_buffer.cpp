@@ -17,6 +17,13 @@ SendBuffer::AckOutcome SendBuffer::on_ack(Seq cum_ack,
                                           int dup_threshold,
                                           std::vector<Seq>* newly_acked_out) {
   AckOutcome out;
+  const auto dup = static_cast<Seq>(dup_threshold);
+  // Every segment at or below the previous high_water_ - dup_threshold was
+  // settled by an earlier ack's loss scan: counted received or reported
+  // lost, flags that only ever turn true, and every segment sent since lies
+  // above any evidenced seq. This ack's scan starts above them.
+  const Seq scan_from =
+      any_evidence_ && high_water_ + 1 > dup ? high_water_ + 1 - dup : 0;
 
   auto evidence = [&](Outstanding& o) {
     if (!o.counted_received) {
@@ -51,8 +58,10 @@ SendBuffer::AckOutcome SendBuffer::on_ack(Seq cum_ack,
   // SACK-style loss detection: unevidenced segments sufficiently far below
   // the high-water mark are condemned (once).
   if (any_evidence_) {
-    for (auto& [seq, o] : segments_) {
-      if (seq + static_cast<Seq>(dup_threshold) > high_water_) break;
+    for (auto it = segments_.lower_bound(scan_from); it != segments_.end();
+         ++it) {
+      auto& [seq, o] = *it;
+      if (seq + dup > high_water_) break;
       if (o.counted_received || o.loss_reported) continue;
       o.loss_reported = true;
       out.lost.push_back(seq);

@@ -49,7 +49,9 @@ class SendBuffer {
     bool cum_advanced = false;
   };
   /// Process a cumulative ack + selective acks. Removes segments the
-  /// cumulative ack covers; marks eacked ones; performs loss detection.
+  /// cumulative ack covers; marks eacked ones; performs loss detection,
+  /// scanning only segments no earlier ack could condemn, so
+  /// `dup_threshold` must be the same on every call.
   /// When `newly_acked_out` is non-null (audit armed), the sequences first
   /// evidenced by this ack are appended to it — the per-seq view the
   /// invariant auditor cross-checks against newly_acked.

@@ -57,20 +57,17 @@ void ShardedSim::run_shard_window(Shard& sh, TimePoint end) {
   for (;;) {
     const TimePoint tp =
         sh.inbox.empty() ? TimePoint::max() : sh.inbox.front().due;
-    const TimePoint te = sh.sim.next_event_time();
-    if (tp >= end && te >= end) break;
-    if (tp <= te) {
-      // Canonical tie rule: parcels run before local events at the same
-      // timestamp, in (due, src_group, seq) order — placement-independent.
-      sh.sim.advance_to(tp);
-      std::pop_heap(sh.inbox.begin(), sh.inbox.end(), ParcelAfter{});
-      Parcel p = std::move(sh.inbox.back());
-      sh.inbox.pop_back();
-      ++sh.parcels_executed;
-      p.fn();
-    } else {
-      sh.sim.step();
-    }
+    // Local events strictly before the next parcel or the window's end.
+    // Canonical tie rule: parcels run before local events at the same
+    // timestamp, in (due, src_group, seq) order — placement-independent.
+    sh.sim.run_until(std::min(tp, end) - Duration::nanos(1));
+    if (tp >= end) break;
+    sh.sim.advance_to(tp);
+    std::pop_heap(sh.inbox.begin(), sh.inbox.end(), ParcelAfter{});
+    Parcel p = std::move(sh.inbox.back());
+    sh.inbox.pop_back();
+    ++sh.parcels_executed;
+    p.fn();
   }
   sh.sim.advance_to(end);
 }

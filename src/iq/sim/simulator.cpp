@@ -14,27 +14,22 @@ EventId Simulator::after(Duration d, EventFn fn) {
   return queue_.schedule(now_ + d, std::move(fn));
 }
 
-void Simulator::execute_next() {
-  auto ev = queue_.pop();
-  IQ_CHECK(ev.at >= now_);
-  now_ = ev.at;
-  ++executed_;
-  ev.fn();
-}
-
-void Simulator::run() {
-  while (!queue_.empty()) {
-    if (event_budget_ != 0 && executed_ >= event_budget_) return;
-    execute_next();
+bool Simulator::drain(TimePoint bound) {
+  for (;;) {
+    if (event_budget_ != 0 && executed_ >= event_budget_) return false;
+    auto ev = queue_.pop_until(bound);
+    if (!ev) return true;
+    IQ_CHECK(ev->at >= now_);
+    now_ = ev->at;
+    ++executed_;
+    ev->fn();
   }
 }
+
+void Simulator::run() { drain(TimePoint::max()); }
 
 void Simulator::run_until(TimePoint deadline) {
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
-    if (event_budget_ != 0 && executed_ >= event_budget_) return;
-    execute_next();
-  }
-  if (now_ < deadline) now_ = deadline;
+  if (drain(deadline) && now_ < deadline) now_ = deadline;
 }
 
 void Simulator::advance_to(TimePoint t) {
@@ -42,12 +37,6 @@ void Simulator::advance_to(TimePoint t) {
   IQ_CHECK_MSG(queue_.empty() || queue_.next_time() >= t,
                "advance_to would skip pending events");
   now_ = t;
-}
-
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  execute_next();
-  return true;
 }
 
 }  // namespace iq::sim

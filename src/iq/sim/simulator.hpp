@@ -35,22 +35,14 @@ class Simulator final : public Executor {
   /// Run until the queue empties or the event budget is exhausted.
   void run();
   /// Run events with timestamp <= deadline; the clock ends at `deadline`
-  /// even if no event lies exactly there.
+  /// even if no event lies exactly there, unless the event budget stopped
+  /// the run first.
   void run_until(TimePoint deadline);
   /// Run for `d` of simulated time from now.
   void run_for(Duration d) { run_until(now() + d); }
-  /// Execute at most one event; returns false if none are pending.
-  bool step();
 
   bool idle() const { return queue_.empty(); }
   std::uint64_t events_executed() const { return executed_; }
-
-  /// Timestamp of the earliest pending event, or TimePoint::max() when the
-  /// queue is empty. Lets an external scheduler (the sharded lockstep loop)
-  /// interleave its own timestamped work with this queue's events.
-  TimePoint next_event_time() const {
-    return queue_.empty() ? TimePoint::max() : queue_.next_time();
-  }
 
   /// Jump the clock forward to `t` without executing anything. Used by the
   /// sharded engine to land the clock on a window boundary and to position
@@ -61,7 +53,9 @@ class Simulator final : public Executor {
   void set_event_budget(std::uint64_t budget) { event_budget_ = budget; }
 
  private:
-  void execute_next();
+  /// Run events due at or before `bound`, one pop_until() per event;
+  /// returns false when the event budget stopped it first.
+  bool drain(TimePoint bound);
 
   /// Hierarchical timing wheel (O(1) schedule/rearm/cancel) with the same
   /// (time, seq) fire order as the 4-ary EventQueue it replaced — see

@@ -33,22 +33,14 @@ std::uint32_t TimerWheel::alloc_slot() {
 void TimerWheel::release(std::uint32_t slot) {
   Entry& e = slots_[slot];
   ++e.generation;
-  e.fn.reset();
   e.bucket = kBucketFree;
   e.prev = kNil;
   e.next = free_head_;
   free_head_ = slot;
 }
 
-void TimerWheel::place(std::uint32_t slot) {
+void TimerWheel::link(std::uint32_t slot) {
   Entry& e = slots_[slot];
-  // Due at or before the wheel position (a same-instant follow-up, a
-  // cascade landing on the position, or a late deadline on the realtime
-  // path): straight into the fire heap, keyed by the original deadline.
-  if (e.at_ns <= 0 || static_cast<std::uint64_t>(e.at_ns) <= cur_) {
-    push_fire(slot);
-    return;
-  }
   const auto d = static_cast<std::uint64_t>(e.at_ns);
   const std::uint32_t level =
       static_cast<std::uint32_t>(63 - std::countl_zero(d ^ cur_)) / kLevelBits;
@@ -105,20 +97,27 @@ void TimerWheel::unlink(std::uint32_t slot) {
 }
 
 void TimerWheel::advance_to(std::uint32_t bucket) {
-  // The position keeps its fields above the bucket's level, takes the
-  // bucket's index at that level and zero below it. Lower levels are empty
-  // (the bucket is the earliest occupied one), and each re-placed entry
-  // lands in the fire heap when due exactly at the new position or at a
-  // nonzero index of a lower level, so this one bucket is all that moves.
-  const std::uint32_t shift = bucket / kSlotsPerLevel * kLevelBits;
-  const std::uint32_t above = shift + kLevelBits;
-  const std::uint64_t high = above >= 64 ? 0ull : cur_ & ~((1ull << above) - 1);
-  cur_ = high | static_cast<std::uint64_t>(bucket % kSlotsPerLevel) << shift;
-  while (heads_[bucket] != kNil) {
-    const std::uint32_t slot = heads_[bucket];
-    unlink(slot);
-    place(slot);
-  }
+  // The position jumps to the bucket's earliest deadline. The bucket is the
+  // earliest occupied one, so that deadline shares the position's fields
+  // above the bucket's level and every other bucket stays where it is
+  // relative to it. Of this bucket's entries, the ones due exactly there go
+  // to the fire heap and the rest link one level lower or more: one
+  // cascade, and the heap is never empty after it.
+  const std::int64_t earliest = earliest_deadline(bucket);
+  cur_ = static_cast<std::uint64_t>(earliest);
+  const std::uint32_t head = heads_[bucket];
+  heads_[bucket] = kNil;
+  occupied_[bucket / kSlotsPerLevel] &= ~(1ull << (bucket % kSlotsPerLevel));
+  std::uint32_t slot = head;
+  do {
+    const std::uint32_t next = slots_[slot].next;
+    if (slots_[slot].at_ns == earliest) {
+      push_fire(slot);
+    } else {
+      link(slot);
+    }
+    slot = next;
+  } while (slot != head);
 }
 
 std::uint32_t TimerWheel::earliest_bucket() const {
@@ -133,6 +132,18 @@ std::uint32_t TimerWheel::earliest_bucket() const {
   }
   IQ_CHECK_MSG(false, "earliest_bucket() on empty wheel");
   return 0;
+}
+
+std::int64_t TimerWheel::earliest_deadline(std::uint32_t bucket) const {
+  // A level-0 bucket holds one deadline; a coarser one is scanned.
+  const std::uint32_t head = heads_[bucket];
+  std::int64_t best = slots_[head].at_ns;
+  if (bucket >= kSlotsPerLevel) {
+    for (std::uint32_t s = slots_[head].next; s != head; s = slots_[s].next) {
+      best = std::min(best, slots_[s].at_ns);
+    }
+  }
+  return best;
 }
 
 bool TimerWheel::fire_heap_front() const {
@@ -152,7 +163,15 @@ EventId TimerWheel::schedule(TimePoint at, EventFn fn) {
   e.at_ns = at.ns();
   e.seq = next_seq_++;
   e.fn = std::move(fn);
-  place(slot);
+  // Due at or before the wheel position (a same-instant follow-up, a
+  // deadline between the caller's clock and a position a refused bounded
+  // pop left ahead of it, or a late deadline on the realtime path):
+  // straight into the fire heap, keyed by the original deadline.
+  if (e.at_ns <= 0 || static_cast<std::uint64_t>(e.at_ns) <= cur_) {
+    push_fire(slot);
+  } else {
+    link(slot);
+  }
   ++live_;
   return make_id(slot, e.generation);
 }
@@ -175,6 +194,7 @@ bool TimerWheel::cancel(EventId id) {
   } else {
     unlink(slot);
   }
+  e.fn.reset();
   release(slot);
   --live_;
   return true;
@@ -183,41 +203,35 @@ bool TimerWheel::cancel(EventId id) {
 TimePoint TimerWheel::next_time() const {
   if (fire_heap_front()) return TimePoint::from_ns(fire_.front().at_ns);
   if (live_ == 0) return TimePoint::max();
-  // Every live entry is in a bucket. A level-0 bucket holds one deadline;
-  // a coarser one is scanned for its earliest.
-  const std::uint32_t bucket = earliest_bucket();
-  const std::uint32_t head = heads_[bucket];
-  std::int64_t best = slots_[head].at_ns;
-  if (bucket >= kSlotsPerLevel) {
-    for (std::uint32_t s = slots_[head].next; s != head; s = slots_[s].next) {
-      best = std::min(best, slots_[s].at_ns);
-    }
+  return TimePoint::from_ns(earliest_deadline(earliest_bucket()));
+}
+
+std::optional<TimerWheel::Popped> TimerWheel::pop_until(TimePoint bound) {
+  // While the fire heap holds a live entry, its top is the global (at, seq)
+  // minimum: the heap holds everything due at or before the wheel position
+  // and the buckets only what is due after it. An empty heap is refilled by
+  // one cascade, even when its event is then refused: the next call needs
+  // it anyway.
+  if (!fire_heap_front()) {
+    if (live_ == 0) return std::nullopt;
+    advance_to(earliest_bucket());
   }
-  return TimePoint::from_ns(best);
+  if (fire_.front().at_ns > bound.ns()) return std::nullopt;
+  std::pop_heap(fire_.begin(), fire_.end(), FiresLater{});
+  const FireRef ref = fire_.back();
+  fire_.pop_back();
+  release(ref.slot);
+  --fire_live_;
+  --live_;
+  // Built in place in the caller's object: the callable moves once, and
+  // the released slot is not reused before it has.
+  return std::optional<Popped>(std::in_place, TimePoint::from_ns(ref.at_ns),
+                               std::move(slots_[ref.slot].fn));
 }
 
 TimerWheel::Popped TimerWheel::pop() {
   IQ_CHECK_MSG(live_ > 0, "pop() on empty TimerWheel");
-  // While the fire heap holds a live entry, its top is the global (at, seq)
-  // minimum: the heap holds everything due at or before the wheel position
-  // and the buckets only what is due after it. Once it is empty, walk the
-  // position to the start of the earliest occupied bucket, cascading higher
-  // levels down, until some entry lands on the position itself (everything
-  // the cascade pushes is live, so an empty heap means none has yet).
-  if (!fire_heap_front()) {
-    do {
-      advance_to(earliest_bucket());
-    } while (fire_.empty());
-  }
-  std::pop_heap(fire_.begin(), fire_.end(), FiresLater{});
-  const FireRef ref = fire_.back();
-  fire_.pop_back();
-  Entry& e = slots_[ref.slot];
-  Popped out{TimePoint::from_ns(ref.at_ns), std::move(e.fn)};
-  release(ref.slot);
-  --fire_live_;
-  --live_;
-  return out;
+  return std::move(*pop_until(TimePoint::max()));
 }
 
 }  // namespace iq::sim

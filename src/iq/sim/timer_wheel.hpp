@@ -29,26 +29,36 @@
 //      sequence number breaks same-nanosecond ties in insertion order,
 //      identical to EventQueue.
 //   2. The fire heap, a min-heap by (deadline, seq), holds every entry
-//      due at or before the wheel's current time; every bucketed entry is
-//      due strictly after it. The wheel's time moves only when the heap is
-//      empty, so the heap top is always the global minimum and pop() is one
-//      heap pop. A same-instant schedule — thousands of flows sharing a
-//      tick, or a firing callback scheduling a zero-delay follow-up — is one
-//      heap push, O(log m) with m entries due, with no bucket rescanned.
+//      due at or before the wheel's position; every bucketed entry is due
+//      strictly after it. The position moves only when the heap is empty,
+//      so the heap top is always the global minimum and a pop is one heap
+//      pop. One cascade refills an empty heap: the position jumps to the
+//      earliest deadline in the earliest occupied bucket (not to the
+//      bucket's start) and that bucket's entries are re-placed relative to
+//      it, the ones due there into the heap. The position is therefore the
+//      deadline of the last cascade, not the caller's clock: after
+//      pop_until() refuses an event it stands at that event, ahead of the
+//      clock, and a deadline scheduled in between joins the heap (rule 3).
+//      A same-instant schedule — thousands of flows sharing a tick, or a
+//      firing callback scheduling a zero-delay follow-up — is one heap
+//      push, O(log m) with m entries due, with no bucket rescanned.
 //      Level-0 buckets are one nanosecond wide, so each holds a single
 //      deadline: next_time() reads the heap top or a level-0 bucket head
 //      and scans only when the earliest occupied bucket is coarser.
-//   3. Late schedules — a deadline before the wheel's current time (legal
-//      on the realtime path) — join the fire heap the same way, keyed by
-//      their original deadline, so they order against pending work exactly
-//      as the heap would order them.
+//   3. Late schedules — a deadline at or before the wheel's position, such
+//      as a deadline before the caller's clock (legal on the realtime path)
+//      or one between the clock and the position (rule 2) — join the fire
+//      heap the same way, keyed by their original deadline, so they order
+//      against pending work exactly as the heap would order them.
 //
 // tests/timer_wheel_property_test.cpp drives random schedule/rearm/
-// cancel/fire interleavings (seeds 1–24), and callbacks that schedule and
-// cancel from inside a same-instant batch, against the EventQueue as a
-// reference model and requires identical fire order, identical cancel
-// results (stale and double cancels structurally rejected by the same
-// generation-validated handle scheme) and identical next_time().
+// cancel/fire interleavings (seeds 1–24), bounded pops that refuse events
+// and leave the position ahead of the caller's clock, and callbacks that
+// schedule and cancel from inside a same-instant batch, against the
+// EventQueue as a reference model and requires identical fire order,
+// identical cancel results (stale and double cancels structurally rejected
+// by the same generation-validated handle scheme) and identical
+// next_time().
 //
 // The wheel is allocation-free at steady state: entries live in a pooled
 // slot table (freelist reuse, InlineFn callables), buckets are intrusive
@@ -57,6 +67,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "iq/common/inline_fn.hpp"
@@ -74,7 +85,7 @@ class TimerWheel {
   TimerWheel();
 
   /// Schedule `fn` at absolute time `at`. O(1) for a deadline after the
-  /// wheel's current position; one fire-heap push for one at or before it,
+  /// wheel's position; one fire-heap push for one at or before it,
   /// which fires as soon as possible but keeps `at` as its ordering key
   /// (see header contract, rules 2–3).
   EventId schedule(TimePoint at, EventFn fn);
@@ -93,8 +104,13 @@ class TimerWheel {
     TimePoint at;
     EventFn fn;
   };
-  /// Remove and return the earliest live event (order contract above).
-  /// Wheel must not be empty.
+  /// Remove and return the earliest live event if it is due at or before
+  /// `bound`, else nothing (also when empty). Each call costs at most one
+  /// cascade. A refusal may leave the wheel's position at the refused
+  /// event, ahead of the caller's clock; later schedules between the two
+  /// join the fire heap and keep the (deadline, seq) order (rules 2–3).
+  std::optional<Popped> pop_until(TimePoint bound);
+  /// pop_until() with no bound. Wheel must not be empty.
   Popped pop();
 
  private:
@@ -128,22 +144,26 @@ class TimerWheel {
   };
 
   std::uint32_t alloc_slot();
+  /// Return `slot` to the freelist. Its callable must be empty, or be moved
+  /// out before the next schedule().
   void release(std::uint32_t slot);
-  /// Push `slot` onto the fire heap if it is due at or before the wheel's
-  /// current time, else link it into the bucket its deadline belongs to,
-  /// relative to that time. O(1) for a bucket.
-  void place(std::uint32_t slot);
-  /// The fire-heap half of place(), kept out of line so the bucket half
-  /// inlines into schedule() and the cascade.
+  /// Link `slot`, due after the wheel's position, into the bucket its
+  /// deadline belongs to relative to that position. O(1).
+  void link(std::uint32_t slot);
+  /// Push `slot`, due at or before the wheel's position, onto the fire
+  /// heap. Kept out of line so link() inlines into schedule() and the
+  /// cascade.
   void push_fire(std::uint32_t slot);
   void unlink(std::uint32_t slot);
-  /// Move the wheel position forward to the start of `bucket`, the earliest
-  /// occupied one, and re-place its entries: down to their exact
-  /// lower-level location, or into the fire heap when due exactly there.
+  /// Move the wheel position forward to the earliest deadline in `bucket`,
+  /// the earliest occupied one, and re-place its entries relative to it:
+  /// the ones due there into the fire heap, the rest into lower levels.
   void advance_to(std::uint32_t bucket);
   /// Earliest occupied bucket: lowest occupied level, lowest index.
   /// Precondition: at least one linked entry.
   std::uint32_t earliest_bucket() const;
+  /// Earliest deadline among `bucket`'s entries; the bucket is occupied.
+  std::int64_t earliest_deadline(std::uint32_t bucket) const;
   /// Move the cancelled references that bubbled to the fire heap's top
   /// out of the way; returns true if a live entry remains in the heap.
   /// Lazily mutates fire_ (benign under const — order is unaffected).

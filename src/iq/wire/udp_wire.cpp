@@ -121,9 +121,8 @@ void RealtimeLoop::remove_before_wait(HookId id) {
 
 std::size_t RealtimeLoop::fire_due_timers() {
   std::size_t fired = 0;
-  while (!timers_.empty() && timers_.next_time() <= now()) {
-    auto ev = timers_.pop();
-    ev.fn();
+  while (auto ev = timers_.pop_until(now())) {
+    ev->fn();
     ++fired;
   }
   return fired;

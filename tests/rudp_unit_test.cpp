@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
+#include <vector>
 
+#include "iq/common/rng.hpp"
 #include "iq/rudp/congestion.hpp"
 #include "iq/rudp/loss_monitor.hpp"
 #include "iq/rudp/recv_buffer.hpp"
@@ -343,6 +348,121 @@ TEST(SendBufferTest, RemoveAbandonsSegment) {
   EXPECT_FALSE(buf.remove(1));
   EXPECT_EQ(buf.inflight(), 1);
   EXPECT_EQ(buf.lowest_or(0), 2u);
+}
+
+// The loss scan as it was before it started above the segments earlier acks
+// settled: every ack walks it from the lowest buffered seq.
+struct FullRescanBuffer {
+  struct Flags {
+    bool counted = false;
+    bool reported = false;
+  };
+  std::map<Seq, Flags> segs;
+  Seq high_water = 0;
+  bool any_evidence = false;
+
+  struct Outcome {
+    int newly_acked = 0;
+    std::vector<Seq> lost;
+  };
+  Outcome on_ack(Seq cum_ack, const std::vector<Seq>& eacks,
+                 int dup_threshold) {
+    Outcome out;
+    const auto evidence = [&](Seq seq, Flags& f) {
+      if (!f.counted) {
+        f.counted = true;
+        ++out.newly_acked;
+      }
+      if (!any_evidence || seq > high_water) {
+        high_water = seq;
+        any_evidence = true;
+      }
+    };
+    for (Seq e : eacks) {
+      auto it = segs.find(e);
+      if (it != segs.end()) evidence(e, it->second);
+    }
+    while (!segs.empty() && segs.begin()->first < cum_ack) {
+      evidence(segs.begin()->first, segs.begin()->second);
+      segs.erase(segs.begin());
+    }
+    if (any_evidence) {
+      for (auto& [seq, f] : segs) {
+        if (seq + static_cast<Seq>(dup_threshold) > high_water) break;
+        if (f.counted || f.reported) continue;
+        f.reported = true;
+        out.lost.push_back(seq);
+      }
+    }
+    return out;
+  }
+};
+
+TEST(SendBufferTest, LossScanMatchesFullRescan) {
+  constexpr int kDup = 3;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed);
+    SendBuffer buf;
+    FullRescanBuffer ref;
+    Seq next = 1;
+    Seq cum = 1;             // receiver's cumulative point
+    std::set<Seq> received;  // receiver's holdings above `cum`
+    std::size_t lost = 0;
+    int skips = 0;
+    int acks = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const double roll = rng.uniform01();
+      if (roll < 0.40) {
+        // Send a few segments; each one reaches the receiver with p = 0.9.
+        for (auto n = rng.uniform_int(1, 4); n > 0; --n, ++next) {
+          buf.add(make_outstanding(next));
+          ref.segs.emplace(next, FullRescanBuffer::Flags{});
+          if (rng.uniform01() < 0.9) received.insert(next);
+        }
+      } else if (roll < 0.50 && next > cum) {
+        // Adaptive-reliability skip of a random unacked seq: the sender
+        // abandons it and the receiver is told to move past it.
+        const auto seq = static_cast<Seq>(
+            rng.uniform_int(static_cast<std::int64_t>(cum),
+                            static_cast<std::int64_t>(next) - 1));
+        const bool removed = buf.remove(seq);
+        ASSERT_EQ(removed, ref.segs.erase(seq) > 0) << "seed " << seed;
+        if (removed) ++skips;
+        received.insert(seq);
+      } else if (roll < 0.65) {
+        // A retransmission fills the lowest hole.
+        Seq hole = cum;
+        while (hole < next && received.count(hole) != 0) ++hole;
+        if (hole < next) received.insert(hole);
+      } else {
+        while (received.erase(cum) != 0) ++cum;
+        // EACKs: up to 8 receiver holdings above the cumulative point, in
+        // random order, holes between them; sometimes one already acked.
+        std::vector<Seq> eacks;
+        for (Seq s : received) {
+          if (eacks.size() == 8) break;
+          if (rng.uniform01() < 0.6) eacks.push_back(s);
+        }
+        std::shuffle(eacks.begin(), eacks.end(), rng.engine());
+        if (cum > 1 && rng.uniform01() < 0.2) eacks.push_back(cum - 1);
+        const auto got = buf.on_ack(cum, eacks, kDup);
+        const auto want = ref.on_ack(cum, eacks, kDup);
+        ASSERT_EQ(got.newly_acked, want.newly_acked)
+            << "step " << step << " seed " << seed;
+        ASSERT_EQ(std::vector<Seq>(got.lost.begin(), got.lost.end()),
+                  want.lost)
+            << "step " << step << " seed " << seed;
+        ASSERT_EQ(buf.high_water(), ref.high_water)
+            << "step " << step << " seed " << seed;
+        lost += want.lost.size();
+        ++acks;
+      }
+    }
+    // The run must exercise what it is named for.
+    EXPECT_GT(acks, 500) << "seed " << seed;
+    EXPECT_GT(lost, 30u) << "seed " << seed;
+    EXPECT_GT(skips, 30) << "seed " << seed;
+  }
 }
 
 // ------------------------------------------------------------ recv buf ----

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "iq/common/affinity.hpp"
@@ -115,6 +116,43 @@ TEST(ShardedSimTest, ParcelRunsBeforeLocalEventAtEqualTimestamp) {
   });
   ss.run_until(t + Duration::millis(1));
   EXPECT_EQ(order, (std::vector<std::string>{"parcel", "local"}));
+}
+
+TEST(ShardedSimTest, ParcelSchedulesLocalEventBeforePendingOne) {
+  // The destination's window drains local events up to the parcel at 12 ms,
+  // which refuses its pending event at 18 ms and leaves its wheel
+  // positioned there. The parcel then schedules at 15 ms, between the clock
+  // and that position, and at 18 ms: both run in (time, insertion) order,
+  // identically at every shard count.
+  const auto ms = [](std::int64_t v) {
+    return TimePoint::zero() + Duration::millis(v);
+  };
+  std::vector<std::pair<std::string, TimePoint>> base;
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    ShardedSim ss(make_cfg(shards, false));
+    const auto src = ss.add_group();
+    const auto dst = ss.add_group();
+    std::vector<std::pair<std::string, TimePoint>> log;
+    Simulator& dsim = ss.group_sim(dst);
+    const auto record = [&log, &dsim](const char* what) {
+      return [&log, &dsim, what] { log.emplace_back(what, dsim.now()); };
+    };
+    dsim.at(ms(18), record("pending"));
+    ss.group_sim(src).after(Duration::millis(2), [&] {
+      ss.post(src, dst, ms(12), [&] {
+        log.emplace_back("parcel", dsim.now());
+        dsim.at(ms(15), record("early"));
+        dsim.at(ms(18), record("late"));
+      });
+    });
+    ss.run_until(ms(40));
+    const std::vector<std::pair<std::string, TimePoint>> want{
+        {"parcel", ms(12)}, {"early", ms(15)}, {"pending", ms(18)},
+        {"late", ms(18)}};
+    EXPECT_EQ(log, want) << "shards=" << shards;
+    if (shards == 1) base = log;
+    EXPECT_EQ(log, base) << "shards=" << shards;
+  }
 }
 
 // A little deterministic ping-pong workload: `kGroups` logical groups, each

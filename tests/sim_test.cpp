@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "iq/sim/event_queue.hpp"
@@ -163,16 +164,29 @@ TEST(SimulatorTest, EventBudgetStopsRunaway) {
   EXPECT_EQ(sim.events_executed(), 1000u);
 }
 
-TEST(SimulatorTest, StepExecutesOne) {
+TEST(SimulatorTest, ScheduleBetweenClockAndNextEventAfterRunUntil) {
+  // run_until(10 ms) refuses the event at 50 ms, which leaves the wheel's
+  // position there while the clock stops at 10 ms. Events scheduled in
+  // between, and a second one at 50 ms, still fire in (time, insertion)
+  // order with the clock at each deadline.
   Simulator sim;
-  int count = 0;
-  sim.after(Duration::millis(1), [&] { ++count; });
-  sim.after(Duration::millis(2), [&] { ++count; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(count, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-  EXPECT_EQ(count, 2);
+  const auto ms = [](std::int64_t v) {
+    return TimePoint::zero() + Duration::millis(v);
+  };
+  std::vector<std::pair<int, TimePoint>> fired;
+  const auto record = [&](int tag) {
+    return [&fired, &sim, tag] { fired.emplace_back(tag, sim.now()); };
+  };
+  sim.at(ms(50), record(0));
+  sim.run_until(ms(10));
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(sim.now(), ms(10));
+  sim.at(ms(20), record(1));
+  sim.at(ms(50), record(2));
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<std::pair<int, TimePoint>>{
+                       {1, ms(20)}, {0, ms(50)}, {2, ms(50)}}));
+  EXPECT_EQ(sim.events_executed(), 3u);
 }
 
 TEST(TimerTest, FiresOnceAtExpiry) {

@@ -12,7 +12,8 @@
 // near rearm-style horizons, far-future deadlines that must cascade down
 // multiple levels before firing, and deadlines behind the wheel's position
 // (legal on the realtime path) that join its fire heap but keep their
-// ordering key.
+// ordering key. Bounded pops (pop_until) refuse events beyond their bound,
+// which can leave the wheel's position ahead of the caller's clock.
 
 #include <gtest/gtest.h>
 
@@ -123,6 +124,137 @@ TEST(TimerWheelPropertyTest, MatchesEventHeapUnderRandomChurn) {
     EXPECT_TRUE(ref.empty());
     EXPECT_EQ(wheel.next_time(), TimePoint::max());
     ASSERT_EQ(wheel_fired, ref_fired) << "seed " << seed;
+  }
+}
+
+TEST(TimerWheelPropertyTest, PopUntilMatchesEventHeap) {
+  // Bounded pops against the heap's "next_time() <= bound ? pop() :
+  // nothing". A refusal can leave the wheel's position at the refused
+  // event, ahead of the last fired time (the caller's clock), so the run
+  // schedules into that gap and rearms and cancels entries the refusal
+  // pulled into the fire heap.
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    TimerWheel wheel;
+    EventQueue ref;
+
+    std::vector<std::size_t> wheel_fired;
+    std::vector<std::size_t> ref_fired;
+    std::vector<EventId> wheel_ids;  // tag -> handle
+    std::vector<EventId> ref_ids;
+    std::vector<std::int64_t> deadline;  // tag -> deadline
+    std::int64_t clock = 0;     // time of the last fired event
+    std::int64_t refused = -1;  // event the last pop refused, -1 if none
+    int refusals = 0;
+    int gap_schedules = 0;
+    int heap_cancels = 0;
+
+    const auto schedule_both = [&](std::int64_t at) {
+      const std::size_t tag = deadline.size();
+      deadline.push_back(at);
+      wheel_ids.push_back(wheel.schedule(
+          TimePoint::from_ns(at),
+          [&wheel_fired, tag] { wheel_fired.push_back(tag); }));
+      ref_ids.push_back(ref.schedule(
+          TimePoint::from_ns(at),
+          [&ref_fired, tag] { ref_fired.push_back(tag); }));
+    };
+    const auto random_deadline = [&]() -> std::int64_t {
+      const double kind = rng.uniform01();
+      if (refused > clock + 1 && kind < 0.35) {
+        // Between the clock and the refused event: at or before the
+        // wheel's position, after everything that has fired.
+        ++gap_schedules;
+        return rng.uniform_int(clock, refused - 1);
+      }
+      if (kind < 0.55) return clock + rng.uniform_int(0, 199);
+      if (kind < 0.85) return clock + rng.uniform_int(1'000, 4'000'000);
+      if (kind < 0.95) {
+        const int shift = static_cast<int>(rng.uniform_int(30, 55));
+        return clock + (std::int64_t{1} << shift) + rng.uniform_int(0, 9999);
+      }
+      return std::max<std::int64_t>(0, clock - rng.uniform_int(0, 5000));
+    };
+    // A recent tag due at or before the wheel's position, which is in the
+    // fire heap whether live or not; -1 if a few draws find none.
+    const auto heap_tag = [&]() -> std::int64_t {
+      const std::int64_t horizon = std::max(clock, refused);
+      const auto n = static_cast<std::int64_t>(deadline.size());
+      for (int tries = 0; tries < 8 && n > 0; ++tries) {
+        const std::int64_t tag =
+            rng.uniform_int(std::max<std::int64_t>(0, n - 64), n - 1);
+        if (deadline[static_cast<std::size_t>(tag)] <= horizon) return tag;
+      }
+      return -1;
+    };
+
+    for (int op = 0; op < 15'000; ++op) {
+      const double roll = rng.uniform01();
+      if (roll < 0.35 || wheel.empty()) {
+        schedule_both(random_deadline());
+      } else if (roll < 0.50) {
+        // Rearm or cancel, half the time an entry in the fire heap.
+        std::int64_t tag = rng.uniform01() < 0.5 ? heap_tag() : -1;
+        if (tag < 0) {
+          tag = rng.uniform_int(
+              0, static_cast<std::int64_t>(deadline.size()) - 1);
+        } else {
+          ++heap_cancels;
+        }
+        const auto pick = static_cast<std::size_t>(tag);
+        const bool wheel_ok = wheel.cancel(wheel_ids[pick]);
+        ASSERT_EQ(wheel_ok, ref.cancel(ref_ids[pick]))
+            << "cancel divergence at op " << op << " seed " << seed;
+        if (wheel_ok && rng.uniform01() < 0.7) schedule_both(random_deadline());
+      } else {
+        const std::int64_t next = ref.next_time().ns();
+        const double kind = rng.uniform01();
+        const std::int64_t spread = std::int64_t{1} << rng.uniform_int(0, 30);
+        std::int64_t bound = next;
+        if (kind < 0.4) {
+          bound = next - rng.uniform_int(1, spread);
+        } else if (kind < 0.8) {
+          bound = next + rng.uniform_int(0, spread);
+        }
+        auto got = wheel.pop_until(TimePoint::from_ns(bound));
+        if (next <= bound) {
+          ASSERT_TRUE(got.has_value())
+              << "refused a due event at op " << op << " seed " << seed;
+          auto want = ref.pop();
+          ASSERT_EQ(got->at, want.at)
+              << "pop-time divergence at op " << op << " seed " << seed;
+          got->fn();
+          want.fn();
+          ASSERT_EQ(wheel_fired.back(), ref_fired.back())
+              << "fire-order divergence at op " << op << " seed " << seed;
+          clock = std::max(clock, got->at.ns());
+          refused = -1;
+        } else {
+          ASSERT_FALSE(got.has_value())
+              << "popped an event after the bound at op " << op << " seed "
+              << seed;
+          refused = next;
+          ++refusals;
+        }
+      }
+      ASSERT_EQ(wheel.next_time(), ref.next_time())
+          << "next_time divergence at op " << op << " seed " << seed;
+      ASSERT_EQ(wheel.size(), ref.size())
+          << "size divergence at op " << op << " seed " << seed;
+    }
+
+    while (auto got = wheel.pop_until(TimePoint::max())) {
+      auto want = ref.pop();
+      ASSERT_EQ(got->at, want.at) << "seed " << seed;
+      got->fn();
+      want.fn();
+    }
+    EXPECT_TRUE(ref.empty());
+    ASSERT_EQ(wheel_fired, ref_fired) << "seed " << seed;
+    // The run must exercise what it is named for.
+    EXPECT_GT(refusals, 500) << "seed " << seed;
+    EXPECT_GT(gap_schedules, 200) << "seed " << seed;
+    EXPECT_GT(heap_cancels, 200) << "seed " << seed;
   }
 }
 

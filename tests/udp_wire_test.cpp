@@ -121,6 +121,27 @@ TEST(RealtimeLoopTest, CancelWorks) {
   EXPECT_FALSE(ran);
 }
 
+// An idle poll_once that finds nothing due refuses the pending timer and
+// leaves the wheel's position at it, ahead of the loop's clock. A timer
+// armed in between must still fire first, and not before its deadline.
+TEST(RealtimeLoopTest, TimerArmedBeforePendingOneAfterIdlePollFiresFirst) {
+  RealtimeLoop loop;
+  std::vector<int> order;
+  loop.schedule_after(Duration::millis(60), [&] { order.push_back(2); });
+  loop.poll_once(Duration::zero());
+  ASSERT_TRUE(order.empty());
+  const TimePoint early = loop.now() + Duration::millis(10);
+  TimePoint early_fired_at;
+  loop.schedule_at(early, [&] {
+    early_fired_at = loop.now();
+    order.push_back(1);
+  });
+  ASSERT_TRUE(loop.run_until([&] { return order.size() == 2; },
+                             Duration::seconds(5)));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_GE(early_fired_at, early);
+}
+
 // Regression (poll-loop defect #2): a timer already due must fire without
 // any forced sleep. The poll(2) predecessor floored every wait to 1 ms, so
 // 50 rounds of schedule-at-now cost >= 50 ms; the timerfd loop passes a
