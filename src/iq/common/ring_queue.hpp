@@ -1,6 +1,7 @@
 #pragma once
-// Ring-buffer FIFO for the connection's pending-message queue and the
-// simulated links' drop-tail queues.
+// Ring-buffer FIFO for the connection's pending-message queue, the RUDP
+// send and receive windows (slot i is the window's base sequence + i) and
+// the simulated links' drop-tail queues.
 //
 // std::deque allocates and frees a ~512-byte chunk roughly every
 // chunk-worth of push_back/pop_front traffic, which breaks the

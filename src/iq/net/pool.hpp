@@ -27,8 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -118,21 +116,5 @@ class ObjectPool {
  private:
   std::shared_ptr<detail::ArenaState> state_;
 };
-
-/// std::map whose tree nodes come from a freelist arena. A map allocates
-/// exactly one node type, which matches the arena's one-block-size
-/// invariant; once the freelist has reached the map's high-water node
-/// count, insert/erase churn stops touching malloc — the property the
-/// RUDP send/receive buffers rely on for an allocation-free steady state.
-template <typename K, typename V, typename Cmp = std::less<K>>
-using PooledMap =
-    std::map<K, V, Cmp, detail::PoolAllocator<std::pair<const K, V>>>;
-
-template <typename K, typename V, typename Cmp = std::less<K>>
-PooledMap<K, V, Cmp> make_pooled_map() {
-  return PooledMap<K, V, Cmp>(
-      Cmp(), detail::PoolAllocator<std::pair<const K, V>>(
-                 std::make_shared<detail::ArenaState>()));
-}
 
 }  // namespace iq::net

@@ -27,6 +27,7 @@ RudpConnection::RudpConnection(SegmentWire& wire, RudpConfig cfg, Role role)
                                            : cfg.initial_cwnd)),
       rtt_(cfg.rtt),
       loss_(cfg.loss_epoch_packets),
+      send_buf_(cfg.initial_seq),
       recv_buf_(cfg.recv_window_packets, cfg.initial_seq),
       budget_(0.0),
       fec_enc_(fec::FecConfig{cfg.fec_group_size, cfg.fec_interleave}),
@@ -237,7 +238,7 @@ RudpConnection::SendResult RudpConnection::send_message(
   // for strengthened delivery, not relaxed.
   if (discard_unmarked_ && !spec.marked && !spec.fec &&
       budget_.may_skip_message()) {
-    budget_.on_message_skipped(msg_id);
+    budget_.on_message_skipped();
     ++stats_.messages_discarded_at_send;
     audit_emit(audit::EventType::MsgDiscarded, msg_id);
     return SendResult{msg_id, /*discarded=*/true};
@@ -296,10 +297,12 @@ void RudpConnection::pump() {
       window_limited_ = false;
       return;
     }
+    // cwnd caps unacked segments. The window's span (skip records and
+    // sacked segments too) stays below the peer's rwnd, so every seq sent
+    // is inside its receive window, and below this side's own window.
     const int wnd = std::max(1, static_cast<int>(active_cc()->cwnd()));
-    const int limit = std::min<int>(wnd, static_cast<int>(
-                                             std::max(1u, peer_rwnd_)));
-    if (send_buf_.inflight() >= limit) {
+    const Seq span = std::min(peer_rwnd_, cfg_.recv_window_packets);
+    if (send_buf_.inflight() >= wnd || next_seq_ - send_buf_.base() >= span) {
       window_limited_ = true;
       return;
     }
@@ -314,9 +317,8 @@ void RudpConnection::pump() {
         std::min(mss, m.bytes - std::int64_t{m.next_frag} * mss));
     o.marked = m.marked;
     o.fec = m.fec;
+    o.msg_skipped = m.skipped;
     if (m.next_frag == 0) o.attrs = std::move(m.attrs);
-    o.first_sent = wire_.executor().now();
-    o.last_sent = o.first_sent;
     --pending_segments_;
     if (++m.next_frag == m.frag_count) pending_.pop_front();
 
@@ -329,7 +331,7 @@ void RudpConnection::pump() {
   }
 }
 
-void RudpConnection::transmit(Outstanding& o, bool retransmission) {
+void RudpConnection::transmit(const Outstanding& o, bool retransmission) {
   Segment seg;
   seg.type = SegmentType::Data;
   seg.conn_id = cfg_.conn_id;
@@ -348,7 +350,6 @@ void RudpConnection::transmit(Outstanding& o, bool retransmission) {
   stats_.payload_bytes_sent += o.payload_bytes;
   if (retransmission) ++stats_.segments_retransmitted;
 
-  o.last_sent = wire_.executor().now();
   // Enrolling first transmissions in a parity group needs the segment after
   // it goes out, so FEC traffic keeps the copying emit; everything else
   // moves its vectors/attrs straight into the wire.
@@ -411,10 +412,9 @@ void RudpConnection::send_advance(std::span<const SkippedSeq> skipped) {
   rto_timer_.start_if_idle(rtt_.rto());
 }
 
-void RudpConnection::resend_outstanding_skips() {
-  if (skip_outstanding_.empty()) return;
-  iq::InlineVec<SkippedSeq, 8> skips;
-  for (const auto& [_, rec] : skip_outstanding_) skips.push_back(rec);
+void RudpConnection::resend_skips(Seq from) {
+  const SkippedList skips = send_buf_.skips_from(from);
+  if (skips.empty()) return;
   last_skip_resend_ = wire_.executor().now();
   send_advance(skips);
 }
@@ -424,6 +424,7 @@ void RudpConnection::send_control(SegmentType type) {
   seg.type = type;
   seg.conn_id = cfg_.conn_id;
   seg.cum_ack = to_wire(recv_buf_.cum());
+  seg.rwnd_packets = recv_buf_.rwnd();
   seg.ts_us = now_us();
   if (type == SegmentType::SynAck) {
     seg.recv_loss_tolerance = cfg_.recv_loss_tolerance;
@@ -453,6 +454,7 @@ void RudpConnection::on_segment(const Segment& seg) {
     ++stats_.blackout_recoveries;
   }
   rto_streak_ = 0;
+  if (seg.rwnd_packets > 0) peer_rwnd_ = seg.rwnd_packets;
   if (tap_) tap_(TapDirection::In, seg);
   switch (seg.type) {
     case SegmentType::Syn:
@@ -556,12 +558,7 @@ void RudpConnection::on_data(const Segment& seg) {
 
 void RudpConnection::on_advance(const Segment& seg) {
   if (!established()) return;
-  iq::InlineVec<RecvBuffer::SkipInfo, 8> skips;
-  for (const SkippedSeq& s : seg.skipped) {
-    skips.push_back(RecvBuffer::SkipInfo{unwrap(s.seq, recv_buf_.cum()),
-                                         s.msg_id, s.frag_count});
-  }
-  recv_buf_.on_skip(skips, wire_.executor().now(), recv_scratch_);
+  recv_buf_.on_skip(seg.skipped, wire_.executor().now(), recv_scratch_);
   deliver(recv_scratch_);
   send_ack(seg.ts_us);
 }
@@ -615,7 +612,6 @@ void RudpConnection::deliver(RecvBuffer::Result& result) {
 
 void RudpConnection::on_ack(const Segment& seg) {
   ++stats_.acks_received;
-  if (seg.rwnd_packets > 0) peer_rwnd_ = seg.rwnd_packets;
 
   const TimePoint now = wire_.executor().now();
   if (seg.ts_echo_us > 0) {
@@ -625,20 +621,16 @@ void RudpConnection::on_ack(const Segment& seg) {
     active_cc()->set_srtt(rtt_.srtt());
   }
 
-  const Seq ref = send_buf_.lowest_or(next_seq_);
-  const Seq cum = unwrap(seg.cum_ack, ref);
+  const Seq cum = unwrap(seg.cum_ack, send_buf_.base());
   iq::InlineVec<Seq, 16> eacks;
   for (WireSeq e : seg.eacks) eacks.push_back(unwrap(e, cum));
 
-  // Skips the peer's cumulative ack has passed are settled; if the peer is
-  // stuck exactly on a skipped sequence, the ADVANCE was lost — resend it
-  // (at most once per RTO interval).
-  skip_outstanding_.erase(skip_outstanding_.begin(),
-                          skip_outstanding_.lower_bound(cum));
-  if (!skip_outstanding_.empty() &&
-      cum >= skip_outstanding_.begin()->first &&
-      now - last_skip_resend_ >= rtt_.rto()) {
-    resend_outstanding_skips();
+  // Skip records the peer's cumulative ack passes leave the send window
+  // with it; if the peer is stuck exactly on a skipped sequence, the
+  // ADVANCE was lost — resend the records from there (at most once per RTO
+  // interval).
+  if (send_buf_.is_skip(cum) && now - last_skip_resend_ >= rtt_.rto()) {
+    resend_skips(cum);
   }
 
   audit_acked_scratch_.clear();
@@ -670,7 +662,7 @@ void RudpConnection::on_ack(const Segment& seg) {
   }
   handle_lost_segments(outcome.lost);
 
-  if (send_buf_.empty() && skip_outstanding_.empty()) {
+  if (send_buf_.empty()) {
     rto_timer_.stop();
   } else if (outcome.cum_advanced) {
     rto_timer_.start(rtt_.rto());
@@ -724,21 +716,27 @@ std::optional<SkippedSeq> RudpConnection::resolve_loss(Seq seq,
   }
   if (recovery_failed) o->fec_deferred = false;
 
-  const bool can_skip =
-      !o->marked && !o->fec &&
-      (budget_.is_skipped(o->msg_id) || budget_.may_skip_message());
+  const bool can_skip = !o->marked && !o->fec &&
+                        (o->msg_skipped || budget_.may_skip_message());
   if (can_skip) {
+    if (!o->msg_skipped) {
+      // The message spends one unit of budget, however many of its
+      // fragments are condemned: flag them all, sent or not yet.
+      budget_.on_message_skipped();
+      ++stats_.messages_skipped;
+      send_buf_.flag_message_skipped(*o);
+      if (!pending_.empty() && pending_.front().msg_id == o->msg_id) {
+        pending_.front().skipped = true;
+      }
+    }
     SkippedSeq rec{to_wire(seq), o->msg_id, o->frag_count};
-    if (budget_.on_message_skipped(o->msg_id)) ++stats_.messages_skipped;
     ++stats_.segments_skipped;
     audit_emit(audit::EventType::SegSkipped, seq, o->msg_id);
-    send_buf_.remove(seq);
-    skip_outstanding_.emplace(seq, rec);
+    send_buf_.abandon(seq);
     return rec;
   }
 
   o->loss_reported = true;
-  ++o->transmissions;
   if (!from_timeout) ++stats_.fast_retransmits;
   audit_emit(audit::EventType::SegRetransmit, seq, 0, 0, 0, 0, 0.0, 0.0,
              from_timeout ? 1 : 0);
@@ -748,26 +746,17 @@ std::optional<SkippedSeq> RudpConnection::resolve_loss(Seq seq,
 
 void RudpConnection::on_rto() {
   if (!established()) return;
-  if (send_buf_.empty()) {
-    // Only skips outstanding: the ADVANCE (or its ack) was lost.
-    if (!skip_outstanding_.empty()) {
-      rtt_.backoff();
-      ++stats_.rto_backoffs;
-      resend_outstanding_skips();
-      arm_rto();
-    }
-    return;
-  }
   Outstanding* o = send_buf_.first_unacked();
   if (o == nullptr) {
-    // Everything still buffered is sacked — the cumulative ack is blocked.
-    // If a skipped sequence is the blocker, its ADVANCE was lost; resend.
-    if (!skip_outstanding_.empty()) {
+    // Every live segment is sacked, or only skip records are left: the
+    // cumulative ack is blocked. If a skipped sequence is the blocker, its
+    // ADVANCE (or its ack) was lost; resend.
+    if (send_buf_.holds_skips()) {
       rtt_.backoff();
       ++stats_.rto_backoffs;
-      resend_outstanding_skips();
+      resend_skips(0);
     }
-    arm_rto();
+    if (!send_buf_.empty()) arm_rto();
     return;
   }
   ++stats_.timeouts;
@@ -818,7 +807,7 @@ void RudpConnection::on_rto() {
     }
     send_advance(skips);
   }
-  if (!send_buf_.empty() || !skip_outstanding_.empty()) arm_rto();
+  if (!send_buf_.empty()) arm_rto();
   pump();
 }
 

@@ -42,6 +42,7 @@ namespace iq::rudp {
 struct RudpConfig {
   std::uint32_t conn_id = 1;
   std::int64_t max_segment_payload = 1400;  ///< paper's maximum segment size
+  /// Admits the peer's seqs below cum + this; caps this side's send span.
   std::uint32_t recv_window_packets = 4096;
   std::uint32_t loss_epoch_packets = 100;
   std::size_t max_eacks_per_ack = 64;
@@ -183,7 +184,7 @@ class RudpConnection {
   /// Queued-but-unsent fragments (the unit of max_pending_segments).
   std::size_t queued_segments() const { return pending_segments_; }
   bool send_idle() const {
-    return pending_.empty() && send_buf_.empty() && skip_outstanding_.empty();
+    return pending_.empty() && send_buf_.empty();
   }
 
   // ----------------------------------------------------------- callbacks --
@@ -284,6 +285,7 @@ class RudpConnection {
     std::int64_t bytes = 0;
     bool marked = true;
     bool fec = false;
+    bool skipped = false;  ///< a sent fragment spent the skip budget
     attr::AttrList attrs;  ///< moves onto fragment 0
   };
 
@@ -299,11 +301,11 @@ class RudpConnection {
   // Outbound helpers.
   void emit(Segment&& seg);
   void pump();
-  void transmit(Outstanding& o, bool retransmission);
+  void transmit(const Outstanding& o, bool retransmission);
   void send_ack(std::uint64_t ts_echo_us);
   void send_advance(std::span<const SkippedSeq> skipped);
-  /// Re-advertise every still-unacknowledged skip (lost-ADVANCE recovery).
-  void resend_outstanding_skips();
+  /// Re-advertise the skip records at or above `from` (lost ADVANCE).
+  void resend_skips(Seq from);
   void send_syn();
   void send_control(SegmentType type);
   /// Emit one parity segment (fire-and-forget: no seq, never buffered).
@@ -377,15 +379,10 @@ class RudpConnection {
   iq::RingQueue<PendingMessage> pending_;
   /// Unsent fragments across pending_, the unit the backlog bounds count.
   std::size_t pending_segments_ = 0;
-  /// Skips announced via ADVANCE but not yet covered by the peer's
-  /// cumulative ack; ADVANCE itself can be lost, so these are
-  /// re-advertised until acknowledged (keyed by unwrapped seq).
-  net::PooledMap<Seq, SkippedSeq> skip_outstanding_ =
-      net::make_pooled_map<Seq, SkippedSeq>();
   TimePoint last_skip_resend_;
   Seq next_seq_ = 1;
   std::uint32_t next_msg_id_ = 1;
-  std::uint32_t peer_rwnd_ = 4096;
+  std::uint32_t peer_rwnd_ = 4096;  ///< as last advertised (acks, control)
   bool window_limited_ = false;
   bool discard_unmarked_ = false;
   int connect_attempts_ = 0;

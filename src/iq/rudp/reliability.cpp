@@ -9,12 +9,6 @@ bool SkipBudget::may_skip_message() const {
          tolerance_;
 }
 
-bool SkipBudget::on_message_skipped(std::uint32_t msg_id) {
-  auto [_, inserted] = skipped_ids_.insert(msg_id);
-  if (inserted) ++skipped_;
-  return inserted;
-}
-
 double SkipBudget::skipped_fraction() const {
   if (offered_ == 0) return 0.0;
   return static_cast<double>(skipped_) / static_cast<double>(offered_);

@@ -7,9 +7,12 @@
 // would exceed the advertised tolerance, unmarked traffic is handled
 // reliably again — this is what keeps §3.3's undelivered percentage "within
 // the loss tolerance".
+//
+// The budget counts messages, not sequences: the connection spends one unit
+// per message however many of its fragments are abandoned, and remembers
+// that on the message's fragments (`Outstanding::msg_skipped`).
 
 #include <cstdint>
-#include <unordered_set>
 
 namespace iq::rudp {
 
@@ -26,14 +29,8 @@ class SkipBudget {
   /// Would skipping (one more) message stay within tolerance?
   bool may_skip_message() const;
 
-  /// Record that `msg_id` was abandoned; idempotent per message (a message
-  /// with several skipped fragments counts once). Returns true if this call
-  /// newly counted the message.
-  bool on_message_skipped(std::uint32_t msg_id);
-  /// True if this message was already counted as skipped.
-  bool is_skipped(std::uint32_t msg_id) const {
-    return skipped_ids_.contains(msg_id);
-  }
+  /// Count one abandoned message (call once per message).
+  void on_message_skipped() { ++skipped_; }
 
   std::uint64_t offered() const { return offered_; }
   std::uint64_t skipped() const { return skipped_; }
@@ -43,7 +40,6 @@ class SkipBudget {
   double tolerance_;
   std::uint64_t offered_ = 0;
   std::uint64_t skipped_ = 0;
-  std::unordered_set<std::uint32_t> skipped_ids_;
 };
 
 }  // namespace iq::rudp

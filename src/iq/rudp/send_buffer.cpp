@@ -7,9 +7,12 @@
 namespace iq::rudp {
 
 Outstanding& SendBuffer::add(Outstanding o) {
-  auto [it, inserted] = segments_.insert_or_assign(o.seq, std::move(o));
-  if (inserted) ++inflight_;
-  return it->second;
+  IQ_CHECK_MSG(o.seq == base_ + ring_.size(),
+               "send window: seq is not the next one");
+  ring_.push_back(std::move(o));
+  ++live_;
+  ++inflight_;
+  return ring_.back();
 }
 
 SendBuffer::AckOutcome SendBuffer::on_ack(Seq cum_ack,
@@ -42,27 +45,29 @@ SendBuffer::AckOutcome SendBuffer::on_ack(Seq cum_ack,
 
   // Selective acks: receipt evidence without removal.
   for (Seq e : eacks) {
-    auto it = segments_.find(e);
-    if (it == segments_.end()) continue;
-    it->second.sacked = true;
-    evidence(it->second);
+    if (Outstanding* o = find(e)) evidence(*o);
   }
 
-  // Cumulative ack: everything below cum_ack is received; remove it.
-  while (!segments_.empty() && segments_.begin()->first < cum_ack) {
-    evidence(segments_.begin()->second);
-    segments_.erase(segments_.begin());
-    out.cum_advanced = true;
+  // Cumulative ack: everything below cum_ack is received; drop it.
+  while (!ring_.empty() && base_ < cum_ack) {
+    Outstanding& o = ring_.front();
+    if (!o.abandoned) {
+      evidence(o);
+      --live_;
+      out.cum_advanced = true;
+    }
+    ring_.pop_front();
+    ++base_;
   }
 
   // SACK-style loss detection: unevidenced segments sufficiently far below
   // the high-water mark are condemned (once).
   if (any_evidence_) {
-    for (auto it = segments_.lower_bound(scan_from); it != segments_.end();
-         ++it) {
-      auto& [seq, o] = *it;
+    for (Seq seq = std::max(scan_from, base_); seq - base_ < ring_.size();
+         ++seq) {
       if (seq + dup > high_water_) break;
-      if (o.counted_received || o.loss_reported) continue;
+      Outstanding& o = ring_[seq - base_];
+      if (o.abandoned || o.counted_received || o.loss_reported) continue;
       o.loss_reported = true;
       out.lost.push_back(seq);
     }
@@ -71,36 +76,46 @@ SendBuffer::AckOutcome SendBuffer::on_ack(Seq cum_ack,
 }
 
 Outstanding* SendBuffer::find(Seq seq) {
-  auto it = segments_.find(seq);
-  return it == segments_.end() ? nullptr : &it->second;
+  if (seq < base_ || seq - base_ >= ring_.size()) return nullptr;
+  Outstanding& o = ring_[seq - base_];
+  return o.abandoned ? nullptr : &o;
 }
 
-const Outstanding* SendBuffer::find(Seq seq) const {
-  auto it = segments_.find(seq);
-  return it == segments_.end() ? nullptr : &it->second;
-}
-
-bool SendBuffer::remove(Seq seq) {
-  auto it = segments_.find(seq);
-  if (it == segments_.end()) return false;
-  if (!it->second.counted_received) {
+bool SendBuffer::abandon(Seq seq) {
+  Outstanding* o = find(seq);
+  if (o == nullptr) return false;
+  if (!o->counted_received) {
     --inflight_;
     IQ_CHECK(inflight_ >= 0);
   }
-  segments_.erase(it);
+  o->abandoned = true;
+  --live_;
   return true;
 }
 
-Outstanding* SendBuffer::first_unacked() {
-  for (auto& [seq, o] : segments_) {
-    if (!o.counted_received) return &o;
+void SendBuffer::flag_message_skipped(const Outstanding& o) {
+  const Seq first = o.seq - o.frag_index;
+  for (Seq s = std::max(first, base_);
+       s < first + o.frag_count && s - base_ < ring_.size(); ++s) {
+    ring_[s - base_].msg_skipped = true;
   }
-  return nullptr;
 }
 
-Seq SendBuffer::lowest_or(Seq fallback) const {
-  if (segments_.empty()) return fallback;
-  return segments_.begin()->first;
+SkippedList SendBuffer::skips_from(Seq from) const {
+  SkippedList out;
+  for (Seq s = std::max(from, base_); s - base_ < ring_.size(); ++s) {
+    const Outstanding& o = ring_[s - base_];
+    if (o.abandoned) out.push_back(SkippedSeq{to_wire(s), o.msg_id, o.frag_count});
+  }
+  return out;
+}
+
+Outstanding* SendBuffer::first_unacked() {
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    Outstanding& o = ring_[i];
+    if (!o.abandoned && !o.counted_received) return &o;
+  }
+  return nullptr;
 }
 
 }  // namespace iq::rudp

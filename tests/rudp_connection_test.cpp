@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "iq/rudp/connection.hpp"
@@ -164,6 +168,7 @@ TEST(RudpConnectionTest, ReliableUnderDuplication) {
   for (int i = 0; i < 30; ++i) p.sender->send_message({.bytes = 4000});
   p.run_ms(30000);
   EXPECT_EQ(p.delivered.size(), 30u);  // duplicates filtered
+  EXPECT_GT(p.receiver->stats().duplicates_received, 0u);
 }
 
 TEST(RudpConnectionTest, UnmarkedSkippedWithinTolerance) {
@@ -340,6 +345,249 @@ TEST(RudpConnectionTest, StatsConsistency) {
   EXPECT_GE(st.segments_sent, 100u);  // 2 fragments each, plus rexmits
   EXPECT_EQ(st.segments_sent - st.segments_retransmitted, 100u);
   EXPECT_EQ(p.delivered.size(), 50u);
+}
+
+// ----------------------------------------------------------- skip budget --
+
+/// Wraps a SegmentWire, dropping outbound segments a predicate selects.
+class FilterWire final : public SegmentWire {
+ public:
+  explicit FilterWire(SegmentWire& inner) : inner_(inner) {}
+
+  void send(const Segment& seg) override {
+    if (drop && drop(seg)) return;
+    inner_.send(seg);
+  }
+  void set_receiver(RecvFn fn) override { inner_.set_receiver(std::move(fn)); }
+  sim::Executor& executor() override { return inner_.executor(); }
+
+  std::function<bool(const Segment&)> drop;
+
+ private:
+  SegmentWire& inner_;
+};
+
+// SkipBudget only counts; spending one unit per message is the connection's
+// job (`Outstanding::msg_skipped`), so the budget's once-per-message rule is
+// checked here, end to end.
+
+// Every fragment of an unmarked message is condemned, and the ADVANCE that
+// reports them is lost and resent: the message still spends one unit.
+TEST(SkipBudgetTest, MessageCountedOnce) {
+  sim::Simulator sim;
+  wire::LossyWirePair wires(sim, wire::LossyConfig{});
+  FilterWire filter(wires.a());
+  RudpConfig rcfg;
+  rcfg.recv_loss_tolerance = 1.0;
+  RudpConnection sender(filter, RudpConfig{}, Role::Client);
+  RudpConnection receiver(wires.b(), rcfg, Role::Server);
+  std::vector<std::uint32_t> delivered;
+  receiver.set_message_handler(
+      [&](const DeliveredMessage& m) { delivered.push_back(m.msg_id); });
+  receiver.listen();
+  sender.connect();
+  sim.run_until(sim.now() + Duration::millis(100));
+  ASSERT_TRUE(sender.established());
+
+  // Seqs: A = 1–3 (unmarked), B = 4 (marked). Drop the first transmission
+  // of each of A's fragments and the first ADVANCE.
+  std::set<WireSeq> dropped;
+  int advances = 0;
+  filter.drop = [&](const Segment& s) {
+    if (s.type == SegmentType::Advance) return ++advances == 1;
+    return s.type == SegmentType::Data && s.seq <= 3 &&
+           dropped.insert(s.seq).second;
+  };
+  sender.send_message({.bytes = 3 * 1400, .marked = false});
+  const std::uint32_t b = sender.send_message({.bytes = 1000}).msg_id;
+  sim.run_until(sim.now() + Duration::seconds(20));
+
+  EXPECT_EQ(dropped.size(), 3u);
+  EXPECT_GE(advances, 2);
+  EXPECT_EQ(sender.stats().segments_skipped, 3u);
+  EXPECT_EQ(sender.stats().messages_skipped, 1u);
+  EXPECT_EQ(sender.skip_budget().skipped(), 1u);
+  EXPECT_EQ(receiver.stats().messages_dropped, 1u);
+  EXPECT_EQ(delivered, (std::vector<std::uint32_t>{b}));
+  EXPECT_TRUE(sender.send_idle());
+}
+
+// A fragmented unmarked message whose fragments are condemned one by one
+// spends one unit of skip budget, so the next message's skip is not
+// starved. A's first two fragments time out and are skipped while its tail
+// is still queued; its third, sent after that, is condemned on its own.
+TEST(SkipBudgetTest, FragmentedMessageSkipsIdempotently) {
+  sim::Simulator sim;
+  wire::LossyWirePair wires(sim, wire::LossyConfig{});
+  FilterWire filter(wires.a());
+  RudpConfig rcfg;
+  rcfg.recv_loss_tolerance = 0.5;
+  RudpConnection sender(filter, RudpConfig{}, Role::Client);
+  RudpConnection receiver(wires.b(), rcfg, Role::Server);
+  std::vector<std::uint32_t> delivered;
+  receiver.set_message_handler(
+      [&](const DeliveredMessage& m) { delivered.push_back(m.msg_id); });
+  receiver.listen();
+  sender.connect();
+  sim.run_until(sim.now() + Duration::millis(100));
+  ASSERT_TRUE(sender.established());
+
+  // Seqs: A = 1–6 (unmarked), B = 7 (unmarked), C = 8–10, D = 11–13.
+  // Drop the first transmission of A's first three fragments and of B.
+  std::set<WireSeq> dropped;
+  filter.drop = [&](const Segment& s) {
+    return s.type == SegmentType::Data && (s.seq <= 3 || s.seq == 7) &&
+           dropped.insert(s.seq).second;
+  };
+  sender.send_message({.bytes = 6 * 1400, .marked = false});
+  sender.send_message({.bytes = 1000, .marked = false});
+  const std::uint32_t c = sender.send_message({.bytes = 3 * 1400}).msg_id;
+  const std::uint32_t d = sender.send_message({.bytes = 3 * 1400}).msg_id;
+  sim.run_until(sim.now() + Duration::seconds(20));
+
+  // Four messages offered at tolerance 0.5: two may be skipped, A and B.
+  EXPECT_EQ(dropped.size(), 4u);
+  EXPECT_EQ(sender.stats().segments_skipped, 4u);
+  EXPECT_EQ(sender.stats().messages_skipped, 2u);
+  EXPECT_EQ(sender.skip_budget().skipped(), 2u);
+  EXPECT_EQ(receiver.stats().messages_dropped, 2u);
+  EXPECT_EQ(delivered, (std::vector<std::uint32_t>{c, d}));
+  EXPECT_TRUE(sender.send_idle());
+}
+
+// ------------------------------------------------------------- lying peer --
+
+// A forger fills a whole receive window with DATA far ahead of the
+// receiver's cumulative point. It is refused, not buffered, so the window
+// stays open and the honest transfer behind it still delivers everything.
+TEST(RudpConnectionTest, FarAheadForgeriesCannotWedgeTheReceiver) {
+  Pair p;
+  p.run_ms(100);
+  ASSERT_TRUE(p.receiver->established());
+  const RudpConfig cfg;
+  for (std::uint32_t i = 0; i < cfg.recv_window_packets; ++i) {
+    Segment seg;
+    seg.type = SegmentType::Data;
+    seg.conn_id = cfg.conn_id;
+    seg.seq = 100'000 + i;
+    seg.msg_id = 1'000'000 + i;
+    seg.payload_bytes = 100;
+    p.wires.a().send(std::move(seg));
+  }
+  for (int i = 0; i < 50; ++i) p.sender->send_message({.bytes = 3000});
+  p.run_ms(20'000);
+  ASSERT_EQ(p.delivered.size(), 50u);
+  EXPECT_EQ(p.delivered.back().msg_id, 50u);
+  EXPECT_TRUE(p.sender->send_idle());
+}
+
+// An honest sender stays inside the receiver's window. The window (64)
+// binds, not cwnd (fixed at 256): the head segment and the ADVANCE that
+// skips it are lost, so the receiver's cumulative point stays on the skip
+// while later segments are sacked and the sender's unacknowledged count
+// falls. The send window's span still holds the skip record and the sacked
+// segments, so nothing is sent past the window to be refused: only the
+// message whose segment was lost is dropped.
+TEST(RudpConnectionTest, HonestSenderStaysInsideTheReceiveWindow) {
+  sim::Simulator sim;
+  wire::LossyWirePair wires(sim, wire::LossyConfig{});
+  FilterWire filter(wires.a());
+  RudpConfig cfg;
+  cfg.cc_kind = CcKind::Fixed;
+  RudpConfig rcfg;
+  rcfg.recv_window_packets = 64;
+  rcfg.recv_loss_tolerance = 1.0;
+  RudpConnection sender(filter, cfg, Role::Client);
+  RudpConnection receiver(wires.b(), rcfg, Role::Server);
+  std::uint64_t delivered = 0;
+  receiver.set_message_handler([&](const DeliveredMessage&) { ++delivered; });
+  // The receiver acks every arrival, so its last ack carries the
+  // cumulative point each DATA segment meets.
+  WireSeq cum = 1;
+  std::int32_t max_ahead = 0;
+  receiver.set_segment_tap(
+      [&](RudpConnection::TapDirection dir, const Segment& s) {
+        if (dir == RudpConnection::TapDirection::Out &&
+            s.type == SegmentType::Ack) {
+          cum = s.cum_ack;
+        } else if (dir == RudpConnection::TapDirection::In &&
+                   s.type == SegmentType::Data) {
+          max_ahead =
+              std::max(max_ahead, static_cast<std::int32_t>(s.seq - cum));
+        }
+      });
+  receiver.listen();
+  sender.connect();
+  sim.run_until(sim.now() + Duration::millis(100));
+  ASSERT_TRUE(sender.established());
+
+  bool head_dropped = false;
+  int advances = 0;
+  filter.drop = [&](const Segment& s) {
+    if (s.type == SegmentType::Advance) return ++advances == 1;
+    if (s.type != SegmentType::Data || s.seq != 1 || head_dropped) {
+      return false;
+    }
+    head_dropped = true;
+    return true;
+  };
+  constexpr std::uint64_t kMessages = 500;
+  for (std::uint64_t i = 0; i < kMessages; ++i) {
+    sender.send_message({.bytes = 1000, .marked = false});
+  }
+  sim.run_until(sim.now() + Duration::seconds(20));
+
+  EXPECT_TRUE(head_dropped);
+  EXPECT_GE(advances, 2);
+  EXPECT_LT(max_ahead, 64);
+  EXPECT_EQ(sender.stats().segments_skipped, 1u);
+  EXPECT_EQ(receiver.stats().messages_dropped, 1u);
+  EXPECT_EQ(delivered, kMessages - 1);
+  EXPECT_TRUE(sender.send_idle());
+}
+
+// A lying peer sacks every new segment, never moves its cumulative ack and
+// advertises a huge rwnd: 2^31 - 1, the most a signed count holds, and
+// 2^32 - 1, the most the wire carries. Sacked segments leave the
+// unacknowledged count, so cwnd never stops the sender; its own window,
+// which caps the send window's span, does.
+TEST(RudpConnectionTest, LyingAcksCannotGrowTheSendWindowPastItsOwnWindow) {
+  for (const std::uint32_t rwnd : {0x7FFF'FFFFu, 0xFFFF'FFFFu}) {
+    SCOPED_TRACE(rwnd);
+    sim::Simulator sim;
+    wire::LossyWirePair wires(sim, wire::LossyConfig{});
+    FilterWire filter(wires.a());
+    const RudpConfig cfg;
+    RudpConnection sender(filter, cfg, Role::Client);
+    RudpConnection receiver(wires.b(), cfg, Role::Server);
+    receiver.listen();
+    sender.connect();
+    sim.run_until(sim.now() + Duration::millis(100));
+    ASSERT_TRUE(sender.established());
+
+    // The honest receiver never sees DATA; the liar answers each one.
+    filter.drop = [&](const Segment& s) {
+      if (s.type != SegmentType::Data) return false;
+      Segment ack;
+      ack.type = SegmentType::Ack;
+      ack.conn_id = cfg.conn_id;
+      ack.cum_ack = 1;
+      ack.eacks.push_back(s.seq);
+      ack.rwnd_packets = rwnd;
+      wires.b().send(std::move(ack));
+      return true;
+    };
+    for (std::uint32_t i = 0; i < 3 * cfg.recv_window_packets; ++i) {
+      sender.send_message({.bytes = 100});
+    }
+    sim.run_until(sim.now() + Duration::seconds(30));
+    // First transmissions (an RTO the eacks do not restart may resend one).
+    const RudpStats& st = sender.stats();
+    EXPECT_EQ(st.segments_sent - st.segments_retransmitted,
+              cfg.recv_window_packets);
+    EXPECT_EQ(sender.inflight(), 0);
+    EXPECT_EQ(sender.queued_segments(), 2u * cfg.recv_window_packets);
+  }
 }
 
 // ------------------------------------------------------------ send queue --

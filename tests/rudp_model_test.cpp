@@ -23,9 +23,11 @@ TimePoint at(std::int64_t n) { return TimePoint::from_ns(n); }
 //
 // Model: a stream of messages, each 1..4 fragments. Each fragment is either
 // delivered to the buffer (possibly out of order, possibly duplicated) or
-// skipped. Expectation: a message with all fragments received is delivered
+// skipped. Forged arrivals at or beyond the receive window's end are mixed
+// in. Expectation: a message with all fragments received is delivered
 // exactly once; a message with any skipped fragment is dropped exactly
-// once; cum() ends one past the last sequence; nothing leaks.
+// once; a forged arrival is refused and leaves no trace; cum() ends one
+// past the last sequence; nothing leaks.
 
 struct FragmentPlan {
   Seq seq;
@@ -67,12 +69,15 @@ TEST_P(RecvBufferModelTest, RandomizedArrivalOrder) {
     std::swap(order[i], order[j]);
   }
 
-  RecvBuffer buf(4096, 1);
+  constexpr std::uint32_t kWindow = 4096;
+  RecvBuffer buf(kWindow, 1);
+  RecvBuffer::Result r;
   std::map<std::uint32_t, std::int64_t> delivered_bytes;
   std::uint64_t dropped = 0;
   std::int64_t t = 0;
+  int forged = 0;
 
-  auto absorb = [&](RecvBuffer::Result r) {
+  auto absorb = [&] {
     for (const auto& msg : r.delivered) {
       auto [it, inserted] = delivered_bytes.emplace(msg.msg_id, msg.bytes);
       ASSERT_TRUE(inserted) << "message " << msg.msg_id << " delivered twice";
@@ -83,8 +88,9 @@ TEST_P(RecvBufferModelTest, RandomizedArrivalOrder) {
   for (std::size_t idx : order) {
     const FragmentPlan& f = plan[idx];
     if (f.skipped) {
-      const RecvBuffer::SkipInfo info{f.seq, f.msg_id, f.frag_count};
-      absorb(buf.on_skip({&info, 1}, at(++t)));
+      const SkippedSeq info{to_wire(f.seq), f.msg_id, f.frag_count};
+      buf.on_skip({&info, 1}, at(++t), r);
+      absorb();
     } else {
       RecvSegment seg;
       seg.seq = f.seq;
@@ -92,14 +98,47 @@ TEST_P(RecvBufferModelTest, RandomizedArrivalOrder) {
       seg.frag_index = f.frag_index;
       seg.frag_count = f.frag_count;
       seg.payload_bytes = 100;
-      absorb(buf.on_data(seg, at(++t)));
+      buf.on_data(seg, at(++t), r);
+      absorb();
       // Occasionally duplicate the arrival.
-      if (rng.chance(0.1)) absorb(buf.on_data(seg, at(++t)));
+      if (rng.chance(0.1)) {
+        buf.on_data(seg, at(++t), r);
+        absorb();
+      }
+    }
+    // Occasionally a forged segment or skip at or beyond the window's end,
+    // claiming a message id the plan never uses.
+    if (rng.chance(0.1)) {
+      const Seq seq =
+          buf.cum() + kWindow +
+          (rng.chance(0.5) ? 0 : static_cast<Seq>(rng.uniform_int(1, 1 << 30)));
+      const std::size_t held = buf.buffered();
+      if (rng.chance(0.5)) {
+        RecvSegment seg;
+        seg.seq = seq;
+        seg.msg_id = 1'000'000 + static_cast<std::uint32_t>(forged);
+        seg.payload_bytes = 100;
+        buf.on_data(seg, at(++t), r);
+      } else {
+        const SkippedSeq info{to_wire(seq), 1'000'000, 1};
+        buf.on_skip({&info, 1}, at(++t), r);
+      }
+      EXPECT_FALSE(r.duplicate);
+      EXPECT_FALSE(r.advanced);
+      EXPECT_TRUE(r.delivered.empty());
+      EXPECT_EQ(r.dropped_messages, 0u);
+      EXPECT_FALSE(buf.has(seq)) << "forged seq " << seq << " admitted";
+      EXPECT_EQ(buf.buffered(), held);
+      ++forged;
     }
   }
 
+  EXPECT_GT(forged, 20);
   EXPECT_EQ(buf.cum(), end_seq);
   EXPECT_EQ(buf.buffered(), 0u);
+  EXPECT_EQ(buf.rwnd(), kWindow);
+  EXPECT_LE(buf.capacity(), kWindow);  // forgeries never grew the ring
+  EXPECT_TRUE(buf.eacks(16).empty());
 
   std::uint64_t expect_dropped = 0;
   for (const auto& [id, has_skip] : msg_has_skip) {
@@ -124,10 +163,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RecvBufferModelTest,
 // ----------------------------------------------------------- SendBuffer ---
 //
 // Model: add N segments, then apply a random sequence of acks (advancing
-// cumulative point + random eack subsets). Invariants: inflight equals the
-// count of never-evidenced segments; each segment contributes to
-// newly_acked exactly once; a segment is reported lost at most once; lost
-// segments really were >= dup_threshold below the high-water mark.
+// cumulative point + random eack subsets) and adaptive-reliability abandons
+// of unevidenced segments. Invariants: inflight equals the count of
+// segments neither evidenced nor abandoned; each segment contributes to
+// newly_acked exactly once, an abandoned one never; a segment is reported
+// lost at most once, an abandoned one never; lost segments really were
+// >= dup_threshold below the high-water mark; an abandoned seq is never
+// returned by find() or first_unacked() and stays a skip record until the
+// cumulative ack passes it.
 
 class SendBufferModelTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -144,12 +187,23 @@ TEST_P(SendBufferModelTest, RandomizedAckSequences) {
   }
 
   std::set<Seq> evidenced;
+  std::set<Seq> abandoned;
   std::set<Seq> reported_lost;
+  std::set<Seq> counted;
+  std::vector<Seq> acked_now;
   Seq cum = 1;
   int total_newly_acked = 0;
 
   while (cum <= n) {
-    // Random eacks above cum.
+    // Random abandons of unevidenced segments at or above cum.
+    for (int i = 0; i < 2; ++i) {
+      const Seq s = cum + static_cast<Seq>(rng.uniform_int(0, 30));
+      if (s > n || !rng.chance(0.3) || evidenced.contains(s)) continue;
+      ASSERT_EQ(buf.abandon(s), abandoned.insert(s).second) << "seq " << s;
+      EXPECT_EQ(buf.find(s), nullptr);
+      EXPECT_TRUE(buf.is_skip(s));
+    }
+    // Random eacks above cum, skip records included.
     std::vector<Seq> eacks;
     for (int i = 0; i < 5; ++i) {
       const Seq e = cum + static_cast<Seq>(rng.uniform_int(0, 30));
@@ -160,32 +214,57 @@ TEST_P(SendBufferModelTest, RandomizedAckSequences) {
     }
     cum = std::min(cum, n + 1);
 
-    auto out = buf.on_ack(cum, eacks, 3);
+    acked_now.clear();
+    auto out = buf.on_ack(cum, eacks, 3, &acked_now);
     total_newly_acked += out.newly_acked;
+    ASSERT_EQ(acked_now.size(), static_cast<std::size_t>(out.newly_acked));
+    for (Seq s : acked_now) {
+      EXPECT_FALSE(abandoned.contains(s)) << "abandoned " << s << " acked";
+      EXPECT_TRUE(counted.insert(s).second) << "segment " << s
+                                            << " acked twice";
+    }
 
     Seq high = 0;
-    for (Seq s = 1; s < cum; ++s) evidenced.insert(s);
-    for (Seq e : eacks) evidenced.insert(e);
+    for (Seq s = 1; s < cum; ++s) {
+      if (!abandoned.contains(s)) evidenced.insert(s);
+    }
+    for (Seq e : eacks) {
+      if (!abandoned.contains(e)) evidenced.insert(e);
+    }
     for (Seq s : evidenced) high = std::max(high, s);
 
     for (Seq lost : out.lost) {
       EXPECT_FALSE(evidenced.contains(lost));
+      EXPECT_FALSE(abandoned.contains(lost)) << "abandoned " << lost
+                                             << " reported lost";
       EXPECT_TRUE(reported_lost.insert(lost).second)
           << "segment " << lost << " reported lost twice";
       EXPECT_GE(high, lost + 3);
     }
-    // inflight = segments with no receipt evidence (abandonment aside).
+    // inflight = segments with no receipt evidence, abandoned ones aside.
     int expect_inflight = 0;
+    Outstanding* expect_first = nullptr;
+    bool expect_skips = false;
     for (Seq s = 1; s <= n; ++s) {
-      if (!evidenced.contains(s)) ++expect_inflight;
+      if (evidenced.contains(s) || abandoned.contains(s)) continue;
+      ++expect_inflight;
+      if (expect_first == nullptr) expect_first = buf.find(s);
+    }
+    for (Seq s : abandoned) {
+      EXPECT_EQ(buf.is_skip(s), s >= cum) << "skip record " << s;
+      expect_skips = expect_skips || s >= cum;
     }
     EXPECT_EQ(buf.inflight(), expect_inflight);
+    EXPECT_EQ(buf.first_unacked(), expect_first);
+    EXPECT_EQ(buf.holds_skips(), expect_skips);
   }
 
   auto final_out = buf.on_ack(n + 1, {}, 3);
   total_newly_acked += final_out.newly_acked;
-  EXPECT_EQ(total_newly_acked, static_cast<int>(n));
+  EXPECT_GT(abandoned.size(), 10u);
+  EXPECT_EQ(total_newly_acked, static_cast<int>(n - abandoned.size()));
   EXPECT_TRUE(buf.empty());
+  EXPECT_FALSE(buf.holds_skips());
   EXPECT_EQ(buf.inflight(), 0);
 }
 

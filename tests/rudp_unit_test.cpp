@@ -7,6 +7,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "iq/common/rng.hpp"
@@ -344,10 +345,22 @@ TEST(SendBufferTest, RemoveAbandonsSegment) {
   SendBuffer buf;
   buf.add(make_outstanding(1));
   buf.add(make_outstanding(2));
-  EXPECT_TRUE(buf.remove(1));
-  EXPECT_FALSE(buf.remove(1));
+  EXPECT_TRUE(buf.abandon(1));
+  EXPECT_FALSE(buf.abandon(1));
   EXPECT_EQ(buf.inflight(), 1);
-  EXPECT_EQ(buf.lowest_or(0), 2u);
+  EXPECT_EQ(buf.size(), 1u);
+  ASSERT_NE(buf.first_unacked(), nullptr);
+  EXPECT_EQ(buf.first_unacked()->seq, 2u);  // lowest live segment
+  EXPECT_EQ(buf.base(), 1u);
+  // The abandoned seq stays as a skip record until the cumulative ack.
+  EXPECT_EQ(buf.find(1), nullptr);
+  EXPECT_TRUE(buf.is_skip(1));
+  EXPECT_EQ(buf.skips_from(0), (SkippedList{{1, 1, 1}}));
+  auto out = buf.on_ack(2, {}, 3);
+  EXPECT_EQ(out.newly_acked, 0);
+  EXPECT_FALSE(out.cum_advanced);  // only a skip record left
+  EXPECT_FALSE(buf.holds_skips());
+  EXPECT_EQ(buf.size(), 1u);
 }
 
 // The loss scan as it was before it started above the segments earlier acks
@@ -425,7 +438,7 @@ TEST(SendBufferTest, LossScanMatchesFullRescan) {
         const auto seq = static_cast<Seq>(
             rng.uniform_int(static_cast<std::int64_t>(cum),
                             static_cast<std::int64_t>(next) - 1));
-        const bool removed = buf.remove(seq);
+        const bool removed = buf.abandon(seq);
         ASSERT_EQ(removed, ref.segs.erase(seq) > 0) << "seed " << seed;
         if (removed) ++skips;
         received.insert(seq);
@@ -467,6 +480,21 @@ TEST(SendBufferTest, LossScanMatchesFullRescan) {
 
 // ------------------------------------------------------------ recv buf ----
 
+RecvBuffer::Result data(RecvBuffer& buf, const RecvSegment& seg,
+                        TimePoint now) {
+  RecvBuffer::Result r;
+  buf.on_data(seg, now, r);
+  return r;
+}
+
+RecvBuffer::Result skip(RecvBuffer& buf,
+                        std::span<const SkippedSeq> skipped,
+                        TimePoint now) {
+  RecvBuffer::Result r;
+  buf.on_skip(skipped, now, r);
+  return r;
+}
+
 RecvSegment rseg(Seq seq, std::uint32_t msg, std::uint16_t fi,
                  std::uint16_t fc, bool marked = true) {
   RecvSegment s;
@@ -482,7 +510,7 @@ RecvSegment rseg(Seq seq, std::uint32_t msg, std::uint16_t fi,
 
 TEST(RecvBufferTest, InOrderSingleFragmentMessages) {
   RecvBuffer buf;
-  auto r1 = buf.on_data(rseg(1, 1, 0, 1), at_ms(1));
+  auto r1 = data(buf, rseg(1, 1, 0, 1), at_ms(1));
   ASSERT_EQ(r1.delivered.size(), 1u);
   EXPECT_EQ(r1.delivered[0].msg_id, 1u);
   EXPECT_EQ(r1.delivered[0].bytes, 1000);
@@ -491,43 +519,43 @@ TEST(RecvBufferTest, InOrderSingleFragmentMessages) {
 
 TEST(RecvBufferTest, MultiFragmentReassembly) {
   RecvBuffer buf;
-  EXPECT_TRUE(buf.on_data(rseg(1, 1, 0, 3), at_ms(1)).delivered.empty());
-  EXPECT_TRUE(buf.on_data(rseg(2, 1, 1, 3), at_ms(2)).delivered.empty());
-  auto r = buf.on_data(rseg(3, 1, 2, 3), at_ms(3));
+  EXPECT_TRUE(data(buf, rseg(1, 1, 0, 3), at_ms(1)).delivered.empty());
+  EXPECT_TRUE(data(buf, rseg(2, 1, 1, 3), at_ms(2)).delivered.empty());
+  auto r = data(buf, rseg(3, 1, 2, 3), at_ms(3));
   ASSERT_EQ(r.delivered.size(), 1u);
   EXPECT_EQ(r.delivered[0].bytes, 3000);
 }
 
 TEST(RecvBufferTest, OutOfOrderBuffersAndEacks) {
   RecvBuffer buf;
-  buf.on_data(rseg(3, 3, 0, 1), at_ms(1));
-  buf.on_data(rseg(5, 5, 0, 1), at_ms(2));
+  data(buf, rseg(3, 3, 0, 1), at_ms(1));
+  data(buf, rseg(5, 5, 0, 1), at_ms(2));
   EXPECT_EQ(buf.cum(), 1u);
   EXPECT_EQ(buf.eacks(10), (iq::InlineVec<Seq, 16>{3, 5}));
-  auto r = buf.on_data(rseg(1, 1, 0, 1), at_ms(3));
+  auto r = data(buf, rseg(1, 1, 0, 1), at_ms(3));
   EXPECT_EQ(r.delivered.size(), 1u);
   EXPECT_EQ(buf.cum(), 2u);
-  r = buf.on_data(rseg(2, 2, 0, 1), at_ms(4));
+  r = data(buf, rseg(2, 2, 0, 1), at_ms(4));
   EXPECT_EQ(r.delivered.size(), 2u);  // 2 and 3 both complete
   EXPECT_EQ(buf.cum(), 4u);
 }
 
 TEST(RecvBufferTest, DuplicateDetection) {
   RecvBuffer buf;
-  buf.on_data(rseg(1, 1, 0, 1), at_ms(1));
-  auto r = buf.on_data(rseg(1, 1, 0, 1), at_ms(2));
+  data(buf, rseg(1, 1, 0, 1), at_ms(1));
+  auto r = data(buf, rseg(1, 1, 0, 1), at_ms(2));
   EXPECT_TRUE(r.duplicate);
-  buf.on_data(rseg(3, 3, 0, 1), at_ms(3));
-  auto r2 = buf.on_data(rseg(3, 3, 0, 1), at_ms(4));
+  data(buf, rseg(3, 3, 0, 1), at_ms(3));
+  auto r2 = data(buf, rseg(3, 3, 0, 1), at_ms(4));
   EXPECT_TRUE(r2.duplicate);
   EXPECT_EQ(buf.duplicates(), 2u);
 }
 
 TEST(RecvBufferTest, SkipAdvancesAndDropsMessage) {
   RecvBuffer buf;
-  buf.on_data(rseg(2, 2, 0, 1), at_ms(1));  // out of order
-  const std::vector<RecvBuffer::SkipInfo> skips{{1, 1, 1}};
-  auto r = buf.on_skip(skips, at_ms(2));
+  data(buf, rseg(2, 2, 0, 1), at_ms(1));  // out of order
+  const std::vector<SkippedSeq> skips{{1, 1, 1}};
+  auto r = skip(buf, skips, at_ms(2));
   EXPECT_EQ(r.dropped_messages, 1u);
   ASSERT_EQ(r.delivered.size(), 1u);  // msg 2 now completes
   EXPECT_EQ(buf.cum(), 3u);
@@ -535,8 +563,8 @@ TEST(RecvBufferTest, SkipAdvancesAndDropsMessage) {
 
 TEST(RecvBufferTest, FullySkippedMultiFragmentCountsOnce) {
   RecvBuffer buf;
-  const std::vector<RecvBuffer::SkipInfo> skips{{1, 7, 3}, {2, 7, 3}, {3, 7, 3}};
-  auto r = buf.on_skip(skips, at_ms(1));
+  const std::vector<SkippedSeq> skips{{1, 7, 3}, {2, 7, 3}, {3, 7, 3}};
+  auto r = skip(buf, skips, at_ms(1));
   EXPECT_EQ(r.dropped_messages, 1u);
   EXPECT_EQ(buf.cum(), 4u);
   EXPECT_EQ(buf.dropped_messages(), 1u);
@@ -544,10 +572,10 @@ TEST(RecvBufferTest, FullySkippedMultiFragmentCountsOnce) {
 
 TEST(RecvBufferTest, PartiallySkippedMessageDropped) {
   RecvBuffer buf;
-  buf.on_data(rseg(1, 1, 0, 3, false), at_ms(1));
-  buf.on_data(rseg(3, 1, 2, 3, false), at_ms(2));
-  const std::vector<RecvBuffer::SkipInfo> skips{{2, 1, 3}};
-  auto r = buf.on_skip(skips, at_ms(3));
+  data(buf, rseg(1, 1, 0, 3, false), at_ms(1));
+  data(buf, rseg(3, 1, 2, 3, false), at_ms(2));
+  const std::vector<SkippedSeq> skips{{2, 1, 3}};
+  auto r = skip(buf, skips, at_ms(3));
   EXPECT_EQ(r.dropped_messages, 1u);
   EXPECT_TRUE(r.delivered.empty());
   EXPECT_EQ(buf.cum(), 4u);
@@ -557,9 +585,9 @@ TEST(RecvBufferTest, LateArrivalSupersedesSkip) {
   RecvBuffer buf;
   // Skip announced for a seq still in flight, data arrives first... then
   // skip is ignored for already-received data.
-  buf.on_data(rseg(1, 1, 0, 1), at_ms(1));
-  const std::vector<RecvBuffer::SkipInfo> skips{{1, 1, 1}};
-  auto r = buf.on_skip(skips, at_ms(2));
+  data(buf, rseg(1, 1, 0, 1), at_ms(1));
+  const std::vector<SkippedSeq> skips{{1, 1, 1}};
+  auto r = skip(buf, skips, at_ms(2));
   EXPECT_EQ(r.dropped_messages, 0u);
   EXPECT_EQ(buf.delivered_messages(), 1u);
 }
@@ -567,9 +595,86 @@ TEST(RecvBufferTest, LateArrivalSupersedesSkip) {
 TEST(RecvBufferTest, RwndShrinksWithBuffering) {
   RecvBuffer buf(100);
   EXPECT_EQ(buf.rwnd(), 100u);
-  buf.on_data(rseg(5, 5, 0, 1), at_ms(1));
-  buf.on_data(rseg(6, 6, 0, 1), at_ms(2));
+  data(buf, rseg(5, 5, 0, 1), at_ms(1));
+  data(buf, rseg(6, 6, 0, 1), at_ms(2));
   EXPECT_EQ(buf.rwnd(), 98u);
+}
+
+// A lying peer sends a full window of segments far ahead of the cumulative
+// point. They fall outside the receive window and are refused, so the
+// window stays open and the honest segments behind them still deliver.
+TEST(RecvBufferTest, FarAheadSegmentsCannotWedgeTheWindow) {
+  constexpr std::uint32_t kWindow = 4096;
+  RecvBuffer buf(kWindow, 1);
+  for (Seq s = 100000; s < 100000 + kWindow; ++s) {
+    data(buf, rseg(s, static_cast<std::uint32_t>(s), 0, 1), at_ms(1));
+  }
+  EXPECT_EQ(buf.buffered(), 0u);
+  EXPECT_EQ(buf.rwnd(), kWindow);
+  for (Seq s = 1; s <= 3; ++s) {
+    const auto r = data(buf, rseg(s, static_cast<std::uint32_t>(s), 0, 1),
+                        at_ms(2));
+    ASSERT_EQ(r.delivered.size(), 1u) << "seq " << s;
+    EXPECT_EQ(r.delivered[0].msg_id, s);
+  }
+  EXPECT_EQ(buf.cum(), 4u);
+
+  // The boundary: cum + window - 1 is admitted, cum + window refused.
+  data(buf, rseg(4 + kWindow - 1, 9, 0, 1), at_ms(3));
+  EXPECT_TRUE(buf.has(4 + kWindow - 1));
+  EXPECT_EQ(buf.buffered(), 1u);
+  data(buf, rseg(4 + kWindow, 10, 0, 1), at_ms(3));
+  EXPECT_FALSE(buf.has(4 + kWindow));
+  EXPECT_EQ(buf.buffered(), 1u);
+  EXPECT_EQ(buf.rwnd(), kWindow - 1);
+  // Skips obey the same bound.
+  const std::vector<SkippedSeq> far{{4 + kWindow, 10, 1}};
+  skip(buf, far, at_ms(4));
+  EXPECT_FALSE(buf.has(4 + kWindow));
+}
+
+// The window is a ring indexed by seq - cum, so one forged segment at its
+// far end grows the ring to the whole window (about 0.85 MB at the default
+// 4096). That is the most a peer can make it hold: segments anywhere in or
+// beyond the window, and the window sliding on, never grow it further.
+TEST(RecvBufferTest, ForgedSegmentsGrowTheRingToTheWindowAtMost) {
+  constexpr std::uint32_t kWindow = 4096;
+  RecvBuffer buf(kWindow, 1);
+  data(buf, rseg(kWindow, 1, 0, 1), at_ms(1));  // cum + window - 1
+  EXPECT_TRUE(buf.has(kWindow));
+  EXPECT_EQ(buf.capacity(), kWindow);
+  for (Seq s = 2; s < 4 * kWindow; s += 7) {
+    data(buf, rseg(s, static_cast<std::uint32_t>(s), 0, 1), at_ms(2));
+  }
+  const std::vector<SkippedSeq> skips{{3, 3, 1}, {2 * kWindow, 9, 1}};
+  skip(buf, skips, at_ms(3));
+  EXPECT_EQ(buf.capacity(), kWindow);
+  for (Seq s = 1; s < 3 * kWindow; ++s) {
+    data(buf, rseg(s, static_cast<std::uint32_t>(s), 0, 1), at_ms(4));
+  }
+  EXPECT_EQ(buf.cum(), 3 * kWindow);
+  EXPECT_EQ(buf.capacity(), kWindow);
+}
+
+// A lying peer opens a fresh message with every in-order segment. An honest
+// peer never has two messages open (they occupy contiguous sequences and
+// finalize in order), so each new one drops the one before it: the
+// reassembly state stays one message.
+TEST(RecvBufferTest, FreshMessageIdsCannotGrowReassemblyState) {
+  RecvBuffer buf;
+  RecvBuffer::Result r;
+  std::size_t delivered = 0;
+  std::uint64_t dropped = 0;
+  for (Seq s = 1; s <= 100000; ++s) {
+    buf.on_data(rseg(s, static_cast<std::uint32_t>(s), 0, 2), at_ms(1), r);
+    delivered += r.delivered.size();
+    dropped += r.dropped_messages;
+  }
+  EXPECT_EQ(buf.cum(), 100001u);
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(buf.delivered_messages(), 0u);
+  EXPECT_EQ(buf.dropped_messages(), 99999u);
+  EXPECT_EQ(dropped, 99999u);
 }
 
 // ---------------------------------------------------------------- budget --
@@ -585,25 +690,15 @@ TEST(SkipBudgetTest, EnforcesFraction) {
   for (int i = 0; i < 10; ++i) b.on_message_offered();
   // 4 of 10 allowed.
   EXPECT_TRUE(b.may_skip_message());
-  b.on_message_skipped(1);
-  b.on_message_skipped(2);
-  b.on_message_skipped(3);
-  b.on_message_skipped(4);
+  b.on_message_skipped();
+  b.on_message_skipped();
+  b.on_message_skipped();
+  b.on_message_skipped();
   EXPECT_FALSE(b.may_skip_message());
   EXPECT_DOUBLE_EQ(b.skipped_fraction(), 0.4);
   // More offered messages re-open the budget.
   for (int i = 0; i < 5; ++i) b.on_message_offered();
   EXPECT_TRUE(b.may_skip_message());
-}
-
-TEST(SkipBudgetTest, MessageCountedOnce) {
-  SkipBudget b(1.0);
-  b.on_message_offered();
-  b.on_message_offered();
-  EXPECT_TRUE(b.on_message_skipped(7));
-  EXPECT_FALSE(b.on_message_skipped(7));
-  EXPECT_EQ(b.skipped(), 1u);
-  EXPECT_TRUE(b.is_skipped(7));
 }
 
 TEST(SkipBudgetTest, ToleranceExactlyMetAllowsTheBoundarySkip) {
@@ -612,25 +707,12 @@ TEST(SkipBudgetTest, ToleranceExactlyMetAllowsTheBoundarySkip) {
   // permitted and the one past it is not.
   SkipBudget b(0.5);
   for (int i = 0; i < 10; ++i) b.on_message_offered();
-  for (std::uint32_t id = 1; id <= 4; ++id) b.on_message_skipped(id);
+  for (int i = 0; i < 4; ++i) b.on_message_skipped();
   // 5/10 == 0.5 exactly: still allowed.
   EXPECT_TRUE(b.may_skip_message());
-  b.on_message_skipped(5);
+  b.on_message_skipped();
   EXPECT_DOUBLE_EQ(b.skipped_fraction(), 0.5);
   // 6/10 would exceed it.
-  EXPECT_FALSE(b.may_skip_message());
-}
-
-TEST(SkipBudgetTest, FragmentedMessageSkipsIdempotently) {
-  // A message whose fragments are condemned one by one still spends only
-  // one unit of budget, so a second message's skip is not starved.
-  SkipBudget b(0.5);
-  for (int i = 0; i < 4; ++i) b.on_message_offered();
-  for (int frag = 0; frag < 5; ++frag) b.on_message_skipped(42);
-  EXPECT_EQ(b.skipped(), 1u);
-  EXPECT_TRUE(b.may_skip_message());
-  EXPECT_TRUE(b.on_message_skipped(43));
-  EXPECT_EQ(b.skipped(), 2u);
   EXPECT_FALSE(b.may_skip_message());
 }
 
@@ -640,7 +722,7 @@ TEST(SkipBudgetTest, ToleranceLoweredMidStreamClosesTheBudget) {
   // skips are allowed until enough new offers dilute the fraction.
   SkipBudget b(0.5);
   for (int i = 0; i < 10; ++i) b.on_message_offered();
-  for (std::uint32_t id = 1; id <= 3; ++id) b.on_message_skipped(id);
+  for (int i = 0; i < 3; ++i) b.on_message_skipped();
   EXPECT_TRUE(b.may_skip_message());
 
   b.set_tolerance(0.2);
@@ -652,7 +734,7 @@ TEST(SkipBudgetTest, ToleranceLoweredMidStreamClosesTheBudget) {
   // 4/20 == 0.2: offering ten more re-opens exactly at the boundary.
   for (int i = 0; i < 10; ++i) b.on_message_offered();
   EXPECT_TRUE(b.may_skip_message());
-  b.on_message_skipped(4);
+  b.on_message_skipped();
   EXPECT_FALSE(b.may_skip_message());
 }
 

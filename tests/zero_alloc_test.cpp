@@ -1,16 +1,19 @@
 // Steady-state allocation pinning: after warmup, a lossy RUDP transfer, over
 // an in-memory pipe or across the simulated network, must run without
 // touching the global heap — InlineVec keeps protocol lists inline,
-// PooledMap/ObjectPool recycle nodes and segment bodies, the scheduler's
-// InlineFn keeps callbacks in its inline buffer, the wire pipe shares
-// immutable pooled segment bodies, and link and send queues are rings. The
-// Dumbbell pin also runs the message shape echo and CityScale send: several
-// fragments cut in place off the send queue's front message, with in-band
-// attrs that move onto fragment 0. A regression in any of those layers
-// shows up here as a nonzero allocation delta.
+// ObjectPool recycles segment bodies, the scheduler's InlineFn keeps
+// callbacks in its inline buffer, the wire pipe shares immutable pooled
+// segment bodies, and link and send queues and the RUDP send and receive
+// windows are rings. The Dumbbell pin also runs the message shape echo and
+// CityScale send: several fragments cut in place off the send queue's front
+// message, with in-band attrs that move onto fragment 0. The unmarked pin
+// runs adaptive reliability: skip records, skip slots, ADVANCE and its
+// resend. A regression in any of those layers shows up here as a nonzero
+// allocation delta.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 
@@ -38,10 +41,11 @@ struct Transfer {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
   std::uint64_t target = 0;
+  std::uint64_t mark_every = 1;  ///< every Nth message is marked
 
-  static wire::LossyConfig lossy_config() {
+  static wire::LossyConfig lossy_config(double drop = 0.02) {
     wire::LossyConfig l;
-    l.drop_probability = 0.02;          // retransmission paths stay hot
+    l.drop_probability = drop;          // retransmission paths stay hot
     l.reorder_jitter = Duration::millis(2);  // eack/dup-ack paths stay hot
     l.seed = 7;
     return l;
@@ -55,10 +59,11 @@ struct Transfer {
     return cfg;
   }
 
-  Transfer()
-      : pipe(sim, lossy_config()),
+  explicit Transfer(const wire::LossyConfig& lossy = lossy_config(),
+                    const RudpConfig& receiver_config = rudp_config())
+      : pipe(sim, lossy),
         sender(pipe.a(), rudp_config(), Role::Client),
-        receiver(pipe.b(), rudp_config(), Role::Server) {
+        receiver(pipe.b(), receiver_config, Role::Server) {
     receiver.set_message_handler(
         [this](const DeliveredMessage&) { ++delivered; });
     receiver.listen();
@@ -73,7 +78,8 @@ struct Transfer {
     void operator()() const {
       if (t->sent >= t->target) return;
       ++t->sent;
-      t->sender.send_message({.bytes = 1000, .marked = true});
+      t->sender.send_message(
+          {.bytes = 1000, .marked = t->sent % t->mark_every == 0});
       t->sim.after(Duration::millis(2), Pace{t});
     }
   };
@@ -227,6 +233,76 @@ TEST(ZeroAllocTest, SteadyStateLossyTransferDoesNotAllocate) {
   EXPECT_GT(t.delivered, warm_delivered + 9900u);
   EXPECT_EQ(allocs, 0u) << "steady-state transfer touched the heap "
                         << allocs << " times";
+}
+
+// Adaptive reliability in steady state: every 5th message is marked and the
+// receiver tolerates 30% loss, so lost unmarked messages are abandoned:
+// the sender's window keeps skip records until the peer's cumulative ack
+// passes them, ADVANCEs (and their resends, when one is lost) carry them,
+// and the receiver's window holds skip slots. With send-side discard on,
+// the budget goes to messages dropped before they are sent. 1% drop keeps
+// every ADVANCE within SkippedList's 8 inline skips; at 2% some reach 9
+// and spill by design.
+void expect_unmarked_steady_state_alloc_free(bool discard) {
+  RudpConfig rcfg = Transfer::rudp_config();
+  rcfg.recv_loss_tolerance = 0.3;
+  Transfer t(Transfer::lossy_config(0.01), rcfg);
+  t.mark_every = 5;
+  std::size_t max_skips = 0;
+  t.sender.set_segment_tap([&max_skips](RudpConnection::TapDirection dir,
+                                        const Segment& s) {
+    if (dir == RudpConnection::TapDirection::Out &&
+        s.type == SegmentType::Advance) {
+      max_skips = std::max(max_skips, s.skipped.size());
+    }
+  });
+  t.sender.set_discard_unmarked(discard);
+
+  t.sim.after(Duration::millis(1500), [&t] { t.pipe.set_blackout(true); });
+  t.sim.after(Duration::millis(3000), [&t] { t.pipe.set_blackout(false); });
+  t.send_and_drain(10'000);
+  ASSERT_TRUE(t.sender.established());
+  const std::uint64_t warm_delivered = t.delivered;
+  const std::uint64_t skipped0 = t.sender.skip_budget().skipped();
+  const std::uint64_t lost_skips0 = t.sender.stats().messages_skipped;
+  const std::uint64_t advances0 = t.sender.stats().advances_sent;
+  max_skips = 0;  // the blackout's repair may spill, by design
+
+  const std::uint64_t before = iq::bench::alloc_count();
+  t.send_and_drain(10'000);
+  const std::uint64_t allocs = iq::bench::alloc_count() - before;
+
+  const RudpStats& st = t.sender.stats();
+  EXPECT_EQ(t.sent, 20'000u);
+  EXPECT_GT(t.sender.skip_budget().skipped() - skipped0, 100u);
+  if (!discard) {
+    EXPECT_GT(st.messages_skipped - lost_skips0, 100u);
+    EXPECT_GT(st.advances_sent - advances0, 100u);
+  }
+  EXPECT_LE(t.sender.skip_budget().skipped_fraction(), 0.3);
+  // Every message is delivered or accounted as dropped.
+  EXPECT_EQ(t.delivered + t.receiver.stats().messages_dropped +
+                st.messages_discarded_at_send,
+            t.sent);
+  EXPECT_GT(t.delivered, warm_delivered + 6'000u);
+  EXPECT_LE(max_skips, 8u) << "an ADVANCE spilled SkippedList";
+  EXPECT_EQ(allocs, 0u) << "unmarked steady state touched the heap "
+                        << allocs << " times";
+}
+
+TEST(ZeroAllocTest, SteadyStateUnmarkedTransferWithSkipsDoesNotAllocate) {
+  if (std::getenv("IQ_AUDIT") != nullptr) {
+    GTEST_SKIP() << "IQ_AUDIT arms the flight recorder; its bookkeeping "
+                    "allocates by design";
+  }
+  {
+    SCOPED_TRACE("send-side discard off");
+    expect_unmarked_steady_state_alloc_free(false);
+  }
+  {
+    SCOPED_TRACE("send-side discard on");
+    expect_unmarked_steady_state_alloc_free(true);
+  }
 }
 
 // The timer-rearm hot path, pinned directly on the scheduler now backing
