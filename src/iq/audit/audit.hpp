@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "iq/audit/auditor.hpp"
 #include "iq/audit/flight_recorder.hpp"
@@ -65,6 +66,9 @@ class AuditContext {
   std::string dump_to_file() const;
   /// Path of the automatic violation dump, if one was written.
   const std::string& violation_dump_path() const { return dump_path_; }
+  /// Reused per-ack list of the sequences an ACK acknowledged first, kept
+  /// here so only armed connections pay for it.
+  std::vector<std::uint64_t>& acked_scratch() { return acked_scratch_; }
 
  private:
   void handle_violations();
@@ -75,6 +79,7 @@ class AuditContext {
   InvariantAuditor auditor_;
   std::size_t violations_handled_ = 0;
   std::string dump_path_;
+  std::vector<std::uint64_t> acked_scratch_;
 };
 
 /// Process-wide arming from the environment (IQ_AUDIT=1): non-null when

@@ -25,9 +25,25 @@ AdaptiveSource::AdaptiveSource(EventChannel& channel,
                 refill();
               }
             }) {
-  channel.transport().transport().set_max_pending_segments(
-      cfg.backlog_limit_segments);
+  rudp::RudpConnection& transport = channel.transport().transport();
+  transport.set_max_pending_segments(cfg.backlog_limit_segments);
+  // ASAP: the tick starts streaming; while it runs, an ack that leaves the
+  // transport's queue empty refills it without waiting for the next tick.
+  if (cfg_.frame_rate <= 0) {
+    transport.set_drained_handler([this] {
+      if (task_.running()) refill();
+    });
+  }
   register_callbacks();
+}
+
+AdaptiveSource::~AdaptiveSource() {
+  if (cfg_.frame_rate <= 0) {
+    channel_.transport().transport().set_drained_handler(nullptr);
+  }
+  if (callbacks_id_ != 0) {
+    channel_.transport().callbacks().unregister(callbacks_id_);
+  }
 }
 
 void AdaptiveSource::start() {
@@ -40,7 +56,7 @@ void AdaptiveSource::stop() { task_.stop(); }
 
 void AdaptiveSource::register_callbacks() {
   if (cfg_.adaptation == AdaptKind::None) return;
-  channel_.transport().register_error_ratio_callbacks(
+  callbacks_id_ = channel_.transport().register_error_ratio_callbacks(
       cfg_.upper_threshold, cfg_.lower_threshold,
       [this](const attr::CallbackContext& ctx) { return on_threshold(ctx); },
       [this](const attr::CallbackContext& ctx) { return on_threshold(ctx); },

@@ -54,7 +54,10 @@ struct AdaptiveSourceConfig {
   FrequencyPolicyConfig frequency{};
 
   std::uint64_t seed = 7;
-  /// ASAP mode: refill when fewer than this many segments are queued.
+  /// ASAP mode keeps at least this many segments queued in the transport:
+  /// an `asap_poll` tick starts streaming, and while it runs every ack that
+  /// empties the queue refills it at once, so acks and the window clock
+  /// the source, not the tick.
   std::size_t asap_backlog_segments = 64;
   Duration asap_poll = Duration::millis(1);
   /// Bound on the transport's unsent backlog: when a timed source outruns a
@@ -66,10 +69,15 @@ struct AdaptiveSourceConfig {
 class AdaptiveSource {
  public:
   /// `schedule` may be null (fixed frame size). `metrics` may be null.
+  /// `channel` and its connection must outlive the source: the destructor
+  /// removes the callbacks the source installed on the connection.
   AdaptiveSource(EventChannel& channel,
                  const workload::FrameSchedule* schedule,
                  const AdaptiveSourceConfig& cfg,
                  stats::MessageMetrics* metrics);
+  ~AdaptiveSource();
+  AdaptiveSource(const AdaptiveSource&) = delete;
+  AdaptiveSource& operator=(const AdaptiveSource&) = delete;
 
   void start();
   void stop();
@@ -107,6 +115,7 @@ class AdaptiveSource {
   FrequencyPolicy frequency_;
 
   sim::PeriodicTask task_;
+  attr::CallbackRegistry::RegistrationId callbacks_id_ = 0;  ///< 0 = none
   TimePoint started_;
   std::uint64_t frames_submitted_ = 0;
   std::uint64_t frame_index_ = 0;

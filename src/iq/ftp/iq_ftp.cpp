@@ -70,11 +70,26 @@ IqFtpSender::IqFtpSender(core::IqRudpConnection& conn, const FileSpec& file,
       image_(image) {
   IQ_CHECK(file_.block_bytes > 0 && file_.total_bytes >= 0);
   if (image_) IQ_CHECK(image_->spec().block_count() == file_.block_count());
+  hook();
+}
+
+IqFtpSender::~IqFtpSender() {
+  conn_->set_message_handler(nullptr);
+  conn_->transport().set_drained_handler(nullptr);
+}
+
+void IqFtpSender::hook() {
   refill_task_ = std::make_unique<sim::PeriodicTask>(
       conn_->transport().executor(), Duration::millis(1),
       [this] { refill(); });
   conn_->set_message_handler(
       [this](const rudp::DeliveredMessage& msg) { on_peer_message(msg); });
+  // The tick starts (and restarts) streaming; while it runs, an ack that
+  // leaves the transport's queue empty refills it without waiting for the
+  // next tick.
+  conn_->transport().set_drained_handler([this] {
+    if (refill_task_->running()) refill();
+  });
 }
 
 void IqFtpSender::start() { refill_task_->start(/*fire_now=*/true); }
@@ -89,11 +104,7 @@ bool IqFtpSender::done() const {
 
 void IqFtpSender::attach(core::IqRudpConnection& conn) {
   conn_ = &conn;
-  refill_task_ = std::make_unique<sim::PeriodicTask>(
-      conn_->transport().executor(), Duration::millis(1),
-      [this] { refill(); });
-  conn_->set_message_handler(
-      [this](const rudp::DeliveredMessage& msg) { on_peer_message(msg); });
+  hook();
   manifest_sent_ = false;
   // Anything already streamed may or may not have landed; ask the receiver
   // where to pick up instead of guessing. A transfer that never sent its
@@ -180,12 +191,18 @@ void IqFtpSender::refill() {
 // ------------------------------------------------------------- receiver ---
 
 IqFtpReceiver::IqFtpReceiver(core::IqRudpConnection& conn) : conn_(&conn) {
+  hook();
+  poll_->start();
+}
+
+IqFtpReceiver::~IqFtpReceiver() { conn_->set_message_handler(nullptr); }
+
+void IqFtpReceiver::hook() {
   poll_ = std::make_unique<sim::PeriodicTask>(
       conn_->transport().executor(), Duration::millis(50),
       [this] { check_complete(); });
   conn_->set_message_handler(
       [this](const rudp::DeliveredMessage& msg) { on_message(msg); });
-  poll_->start();
 }
 
 void IqFtpReceiver::attach(core::IqRudpConnection& conn) {
@@ -195,11 +212,7 @@ void IqFtpReceiver::attach(core::IqRudpConnection& conn) {
       conn_->transport().stats().messages_dropped - dropped_baseline_;
   conn_ = &conn;
   dropped_baseline_ = conn_->transport().stats().messages_dropped;
-  poll_ = std::make_unique<sim::PeriodicTask>(
-      conn_->transport().executor(), Duration::millis(50),
-      [this] { check_complete(); });
-  conn_->set_message_handler(
-      [this](const rudp::DeliveredMessage& msg) { on_message(msg); });
+  hook();
   if (!complete_) poll_->start();
 }
 

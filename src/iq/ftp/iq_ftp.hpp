@@ -91,11 +91,19 @@ struct DeadlinePolicy {
 class IqFtpSender {
  public:
   /// `image` may be null (no content digests ride the blocks). When set, it
-  /// must outlive the sender.
+  /// must outlive the sender. So must `conn` (or the connection last passed
+  /// to attach()): the destructor removes the handlers the sender installed
+  /// on it.
   IqFtpSender(core::IqRudpConnection& conn, const FileSpec& file,
               CriticalFn critical, const FileImage* image = nullptr);
+  ~IqFtpSender();
+  IqFtpSender(const IqFtpSender&) = delete;
+  IqFtpSender& operator=(const IqFtpSender&) = delete;
 
-  /// Send the manifest, then stream blocks (paced by transport backlog).
+  /// Send the manifest, then stream blocks, keeping at least 64 segments
+  /// queued in the transport. A 1-ms tick starts streaming; while it runs,
+  /// every ack that empties the queue refills it at once, so the acks and
+  /// the window clock the transfer, not the tick.
   void start();
   void stop();
   /// All blocks handed over and the transport drained.
@@ -105,7 +113,9 @@ class IqFtpSender {
   /// Keeps all transfer bookkeeping; the next start() sends a resume-query
   /// manifest and streaming waits for the receiver's resume offset. Safe to
   /// call with the old connection already destroyed (the sender holds no
-  /// dangling state), but must not race a live refill — stop() first.
+  /// dangling state), but must not race a live refill — stop() first. A
+  /// failed connection ignores every segment, so the handlers left on it
+  /// never fire.
   void attach(core::IqRudpConnection& conn);
 
   std::uint64_t blocks_sent() const { return next_block_; }
@@ -121,6 +131,8 @@ class IqFtpSender {
   void fill_holes(const std::vector<std::uint64_t>& blocks);
 
  private:
+  /// Build the refill task on conn_ and install its two handlers there.
+  void hook();
   void refill();
   void on_peer_message(const rudp::DeliveredMessage& msg);
   void send_block(std::uint64_t index, bool marked);
@@ -174,7 +186,12 @@ class IqFtpReceiver {
 
   using CompleteFn = std::function<void(const Report&)>;
 
+  /// `conn` (or the connection last passed to attach()) must outlive the
+  /// receiver: the destructor removes its message handler.
   explicit IqFtpReceiver(core::IqRudpConnection& conn);
+  ~IqFtpReceiver();
+  IqFtpReceiver(const IqFtpReceiver&) = delete;
+  IqFtpReceiver& operator=(const IqFtpReceiver&) = delete;
 
   void set_complete_handler(CompleteFn fn) { on_complete_ = std::move(fn); }
   void set_deadline_policy(const DeadlinePolicy& policy) {
@@ -197,6 +214,8 @@ class IqFtpReceiver {
   bool matches(const FileImage& image) const;
 
  private:
+  /// Build the completion poll on conn_ and install the message handler.
+  void hook();
   void on_message(const rudp::DeliveredMessage& msg);
   void check_complete();
 

@@ -633,14 +633,17 @@ void RudpConnection::on_ack(const Segment& seg) {
     resend_skips(cum);
   }
 
-  audit_acked_scratch_.clear();
-  auto outcome = send_buf_.on_ack(cum, eacks, cfg_.dup_threshold,
-                                  audit_ ? &audit_acked_scratch_ : nullptr);
+  std::vector<Seq>* acked = nullptr;
+  if (audit_) {
+    acked = &audit_->acked_scratch();
+    acked->clear();
+  }
+  auto outcome = send_buf_.on_ack(cum, eacks, cfg_.dup_threshold, acked);
   if (audit_) {
     // Per-seq terminal evidence first, then the batch summary the auditor
     // cross-checks against it; both precede the LossMonitor update so a
     // resulting epoch-close event lands after the acks that closed it.
-    for (Seq s : audit_acked_scratch_) {
+    for (Seq s : *acked) {
       audit_emit(audit::EventType::SegAcked, s);
     }
     audit_emit(audit::EventType::AckReceived, cum,
@@ -670,6 +673,7 @@ void RudpConnection::on_ack(const Segment& seg) {
     rto_timer_.start_if_idle(rtt_.rto());
   }
   pump();
+  if (on_drained_ && pending_.empty()) on_drained_();
 }
 
 // ---------------------------------------------------------------- loss ----

@@ -101,9 +101,11 @@ struct RudpConfig {
   Duration fec_flush = Duration::millis(30);
 };
 
-enum class Role { Client, Server };
+enum class Role : std::uint8_t { Client, Server };
 
-enum class ConnState { Closed, SynSent, Listening, Established, Failed };
+enum class ConnState : std::uint8_t {
+  Closed, SynSent, Listening, Established, Failed
+};
 
 /// Why a connection entered ConnState::Failed.
 enum class FailureReason {
@@ -193,6 +195,7 @@ class RudpConnection {
   using EpochFn = std::function<void(const EpochReport&)>;
   using ClosedFn = std::function<void()>;
   using ErrorFn = std::function<void(FailureReason)>;
+  using DrainedFn = std::function<void()>;
 
   /// Protocol tap: observes every segment leaving and entering this
   /// endpoint (before loss — taps see what the engine does, not what the
@@ -212,6 +215,14 @@ class RudpConnection {
   /// Fires once when the connection gives up and enters ConnState::Failed
   /// (handshake exhaustion, RTO streak, or dead-peer keepalive timeout).
   void set_error_handler(ErrorFn fn) { on_error_ = std::move(fn); }
+  /// Ack-clocked refill (the congestion manager's cmapp_send): fires at
+  /// the end of every inbound ACK that leaves the unsent queue empty, after
+  /// the send loop ran, so a bulk sender tops the queue up at once. It
+  /// fires only from the ack path, never from send_message(), so a handler
+  /// that sends cannot recurse; a handler with nothing to add returns at
+  /// once. One per connection: a new one replaces the old, an empty one
+  /// clears it, and its owner clears it before it dies.
+  void set_drained_handler(DrainedFn fn) { on_drained_ = std::move(fn); }
 
   // ----------------------------------------- coordination / adaptation ---
   /// IQ scheme 1: discard unmarked messages at send time while true.
@@ -357,6 +368,7 @@ class RudpConnection {
   RudpConfig cfg_;
   Role role_;
   ConnState state_ = ConnState::Closed;
+  std::uint32_t unacked_arrivals_ = 0;  ///< in the padding after the enums
 
   std::unique_ptr<CongestionController> cc_;
   CongestionController* ext_cc_ = nullptr;  ///< non-owning override
@@ -402,19 +414,18 @@ class RudpConnection {
   sim::Timer keepalive_timer_;
   sim::Timer ack_timer_;
   sim::Timer fec_flush_timer_;
-  std::uint32_t unacked_arrivals_ = 0;
   std::uint64_t last_ts_to_echo_ = 0;
 
   RudpStats stats_;
 
   std::unique_ptr<audit::AuditContext> audit_;
-  std::vector<Seq> audit_acked_scratch_;
 
   MessageFn on_message_;
   EstablishedFn on_established_;
   EpochFn on_epoch_;
   ClosedFn on_closed_;
   ErrorFn on_error_;
+  DrainedFn on_drained_;
   SegmentTap tap_;
 };
 

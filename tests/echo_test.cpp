@@ -17,13 +17,15 @@ namespace {
 
 struct EchoPair {
   sim::Simulator sim;
-  wire::LossyWirePair wires{sim, {.one_way_delay = Duration::millis(15)}};
+  wire::LossyWirePair wires;
   std::unique_ptr<core::IqRudpConnection> snd;
   std::unique_ptr<core::IqRudpConnection> rcv;
   std::unique_ptr<EventChannel> chan_s;
   std::unique_ptr<EventChannel> chan_r;
 
-  explicit EchoPair(double tolerance = 0.0) {
+  explicit EchoPair(double tolerance = 0.0,
+                    Duration one_way_delay = Duration::millis(15))
+      : wires(sim, {.one_way_delay = one_way_delay}) {
     rudp::RudpConfig cfg;
     rudp::RudpConfig rcfg;
     rcfg.recv_loss_tolerance = tolerance;
@@ -195,6 +197,27 @@ TEST(AdaptiveSourceTest, AsapModeFillsTransport) {
   p.sim.run_until(TimePoint::zero() + Duration::seconds(30));
   EXPECT_TRUE(src.done());
   EXPECT_EQ(metrics.delivered(), 200u);
+}
+
+// ASAP means as fast as the transport allows. On a fast lossless path the
+// 64-segment backlog drains well within the 1-ms refill tick, so a source
+// paced by the tick idles most of each millisecond; one clocked by the
+// acks that empty the queue is not. 6000 frames take ~51 ms of simulated
+// time on the tick alone and ~11 ms ack-clocked.
+TEST(AdaptiveSourceTest, AsapModeIsAckClockedOnAFastPath) {
+  EchoPair p(/*tolerance=*/0.0, /*one_way_delay=*/Duration::micros(50));
+  stats::MessageMetrics metrics;
+  MetricSink sink(*p.chan_r, metrics);
+  AdaptiveSourceConfig cfg;
+  cfg.frame_rate = 0;  // ASAP
+  cfg.total_frames = 6000;
+  cfg.fixed_frame_bytes = 1400;
+  AdaptiveSource src(*p.chan_s, nullptr, cfg, &metrics);
+  const TimePoint start = p.sim.now();
+  src.start();
+  p.sim.run_until(start + Duration::millis(25));
+  EXPECT_TRUE(src.done());
+  EXPECT_EQ(metrics.delivered(), 6000u);
 }
 
 TEST(AdaptiveSourceTest, TraceDrivenFrameSizes) {

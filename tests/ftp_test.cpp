@@ -163,6 +163,42 @@ TEST(IqFtpTest, MissingListMatchesBitmap) {
   }
 }
 
+// An endpoint removes every handler it installed on its connection when it
+// is destroyed, so a connection that outlives the transfer keeps working:
+// blocks already queued are still delivered to the receiver's connection,
+// and the sender's connection keeps taking acks, each of which fires the
+// drained handler once its queue is empty. A handler left behind would
+// call into a freed endpoint (AddressSanitizer reports it).
+TEST(IqFtpTest, DestroyedEndpointsLeaveTheirConnectionsSafe) {
+  FileSpec file{.total_bytes = 4'000'000, .block_bytes = 16'384};
+  FtpRig rig(file, [](std::uint64_t) { return true; }, 0.0, 0);
+  const TimePoint limit = TimePoint::zero() + Duration::seconds(30);
+  while (rig.sim.now() < limit &&
+         rig.receiver->report().blocks_received < 16) {
+    rig.sim.run_for(Duration::millis(10));
+  }
+  ASSERT_GE(rig.receiver->report().blocks_received, 16u);
+  ASSERT_FALSE(rig.receiver->complete());
+
+  const auto delivered = [&] {
+    return rig.rcv->transport().stats().messages_delivered;
+  };
+  const std::uint64_t delivered0 = delivered();
+  rig.receiver.reset();
+  rig.sim.run_for(Duration::millis(100));
+  const std::uint64_t delivered1 = delivered();
+  EXPECT_GT(delivered1, delivered0);
+
+  const std::uint64_t acks0 = rig.snd->transport().stats().acks_received;
+  rig.sender.reset();
+  rig.sim.run_for(Duration::millis(500));
+  EXPECT_GT(delivered(), delivered1);
+  EXPECT_GT(rig.snd->transport().stats().acks_received, acks0);
+  EXPECT_TRUE(rig.snd->transport().send_idle());
+  EXPECT_TRUE(rig.snd->established());
+  EXPECT_TRUE(rig.rcv->established());
+}
+
 TEST(FileImageTest, DeterministicAcrossInstances) {
   FileSpec file{.total_bytes = 100'000, .block_bytes = 16'384};
   FileImage a(file, 42);
@@ -299,7 +335,10 @@ TEST(FtpResumeTest, SurvivesTerminalFailureByteIdentical) {
     return g;
   };
 
+  // Both generations outlive the endpoints, which unhook from the
+  // connection they were last attached to when they are destroyed.
   auto gen0 = open_pair(21);
+  decltype(gen0) gen1;
   IqFtpSender sender(*gen0.snd, file, [](std::uint64_t) { return true; },
                      &image);
   IqFtpReceiver receiver(*gen0.rcv);
@@ -324,7 +363,7 @@ TEST(FtpResumeTest, SurvivesTerminalFailureByteIdentical) {
 
   // Fresh connection generation on a new port; the old pair stays alive
   // until attach() has harvested its counters.
-  auto gen1 = open_pair(22);
+  gen1 = open_pair(22);
   sender.attach(*gen1.snd);
   receiver.attach(*gen1.rcv);
   EXPECT_TRUE(sender.awaiting_resume());

@@ -8,8 +8,9 @@
 // CityScale send: several fragments cut in place off the send queue's front
 // message, with in-band attrs that move onto fragment 0. The unmarked pin
 // runs adaptive reliability: skip records, skip slots, ADVANCE and its
-// resend. A regression in any of those layers shows up here as a nonzero
-// allocation delta.
+// resend. The FTP pin runs a bulk transfer through the IQ-FTP endpoints,
+// the coordinator and the ack-clocked refill. A regression in any of those
+// layers shows up here as a nonzero allocation delta.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,8 @@
 #include "../bench/bench_util.hpp"
 #include "iq/attr/names.hpp"
 #include "iq/cm/manager.hpp"
+#include "iq/core/iq_connection.hpp"
+#include "iq/ftp/iq_ftp.hpp"
 #include "iq/net/dumbbell.hpp"
 #include "iq/rudp/connection.hpp"
 #include "iq/sim/simulator.hpp"
@@ -440,6 +443,58 @@ TEST(ZeroAllocTest, SteadyStateTransferWithCongestionManagerDoesNotAllocate) {
   t.sender.set_external_congestion(nullptr);
   mgr.unregister_flow(flow);
   mgr.unregister_flow(sibling);
+}
+
+// IQ-FTP in steady state, in wire_ftp's shape: a 32 MB file of 16 KiB
+// blocks with FileImage digests, a coordinated pair with a 64-packet
+// receive window, here over a lossless 50-us pipe. Each block message
+// carries two attributes through the coordinator, the send queue and
+// fragment 0, and the path is fast enough that the transport's queue runs
+// dry between the sender's 1-ms ticks, so the refill runs from the ack
+// path (the drained handler) as well as from the tick.
+TEST(ZeroAllocTest, SteadyStateFtpTransferDoesNotAllocate) {
+  if (std::getenv("IQ_AUDIT") != nullptr) {
+    GTEST_SKIP() << "IQ_AUDIT arms the flight recorder; its bookkeeping "
+                    "allocates by design";
+  }
+  const ftp::FileSpec file{.total_bytes = 32 << 20};
+  const ftp::FileImage image(file, 7);
+  sim::Simulator sim;
+  wire::LossyWirePair pipe(sim, {.one_way_delay = Duration::micros(50)});
+  RudpConfig rc;
+  rc.recv_window_packets = 64;
+  core::CoordinatorConfig cc;
+  cc.mode = core::CoordinationMode::Coordinated;
+  core::IqRudpConnection snd(pipe.a(), rc, Role::Client, cc);
+  core::IqRudpConnection rcv(pipe.b(), rc, Role::Server, cc);
+  ftp::IqFtpSender sender(snd, file, [](std::uint64_t) { return true; },
+                          &image);
+  ftp::IqFtpReceiver receiver(rcv);
+  rcv.listen();
+  snd.set_established_handler([&sender] { sender.start(); });
+  snd.connect();
+
+  const TimePoint limit = TimePoint::zero() + Duration::seconds(10);
+  auto run_to_block = [&](std::uint64_t blocks) {
+    while (sim.now() < limit && receiver.report().blocks_received < blocks) {
+      sim.run_for(Duration::micros(100));
+    }
+  };
+  run_to_block(512);  // warmup: pools, rings and scratch reach high water
+  ASSERT_GE(receiver.report().blocks_received, 512u);
+
+  const std::uint64_t before = iq::bench::alloc_count();
+  run_to_block(1800);
+  const std::uint64_t allocs = iq::bench::alloc_count() - before;
+
+  EXPECT_GE(receiver.report().blocks_received, 1800u);
+  EXPECT_EQ(allocs, 0u) << "steady-state FTP transfer touched the heap "
+                        << allocs << " times";
+  while (sim.now() < limit && !receiver.complete()) {
+    sim.run_for(Duration::millis(1));
+  }
+  EXPECT_TRUE(receiver.matches(image));
+  EXPECT_EQ(snd.transport().stats().segments_retransmitted, 0u);
 }
 
 }  // namespace
